@@ -350,24 +350,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _place_input_error(exc: Exception) -> int:
+    """Report bad ``place`` input as one line on stderr; returns exit
+    code 2, as argparse does for malformed arguments."""
+    message = exc.args[0] if exc.args else exc
+    print(f"repro place: error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_place(args) -> int:
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
+    try:
+        config = PlacementConfig(
+            alpha_ilv=args.alpha_ilv, alpha_temp=args.alpha_temp,
+            num_layers=args.layers, seed=args.seed,
+            thermal_fidelity=args.thermal_fidelity,
+            num_workers=0 if args.workers is None else args.workers)
+    except ValueError as exc:
+        return _place_input_error(exc)
     if args.circuit:
-        netlist = cached_netlist(
-            benchmark_key(args.circuit, args.scale, args.seed),
-            lambda: load_benchmark(args.circuit, scale=args.scale,
-                                   seed=args.seed))
+        try:
+            netlist = cached_netlist(
+                benchmark_key(args.circuit, args.scale, args.seed),
+                lambda: load_benchmark(args.circuit, scale=args.scale,
+                                       seed=args.seed))
+        except (KeyError, ValueError) as exc:
+            # unknown circuit name, or a scale the generator refuses
+            return _place_input_error(exc)
     else:
         netlist = cached_netlist(
             bookshelf_key(args.bookshelf),
             lambda: bookshelf.read_bookshelf_streaming(args.bookshelf))
-    config = PlacementConfig(
-        alpha_ilv=args.alpha_ilv, alpha_temp=args.alpha_temp,
-        num_layers=args.layers, seed=args.seed,
-        thermal_fidelity=args.thermal_fidelity,
-        num_workers=0 if args.workers is None else args.workers)
     print(f"placing {netlist.name}: {netlist.num_cells} cells, "
           f"{netlist.num_nets} nets, {args.layers} layers")
     spec = (PipelineSpec.from_json_file(args.pipeline)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping
 
@@ -14,6 +15,13 @@ __all__ = ["PlacementConfig", "THERMAL_FIDELITY_MODES"]
 #: here (not in :mod:`repro.thermal.fidelity`) so config validation
 #: needs no thermal imports; the policy module re-exports it.
 THERMAL_FIDELITY_MODES = ("exact", "surrogate", "adaptive")
+
+#: The real-valued knobs; each must be finite (a NaN slips past every
+#: range check below and would poison the objective silently).
+_FLOAT_FIELDS = ("alpha_ilv", "alpha_temp", "thermal_drift_tolerance",
+                 "min_partition_tolerance", "shift_max_density",
+                 "shift_upper_slope", "shift_lower_slope",
+                 "shift_intercept")
 
 
 @dataclass
@@ -112,6 +120,10 @@ class PlacementConfig:
     tech: TechnologyConfig = field(default_factory=TechnologyConfig)
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.alpha_ilv <= 0:
             raise ValueError("alpha_ilv must be positive (it is also the "
                              "z-cut cost scale); use a tiny value to make "

@@ -1,15 +1,21 @@
 """Fiduccia–Mattheyses bisection refinement with float net weights.
 
-Classic FM uses integer gain buckets; the placer's net weights are real
-numbers (thermal net weights, Eq. 8 of the paper), so this implementation
-keeps move candidates in a lazy-deletion binary heap instead.  Gains are
-maintained incrementally with the standard FM critical-net update rules,
-so each move costs O(pins on critical nets), not O(neighbourhood size).
+Classic FM keeps one integer gain-bucket array per side; the placer's net
+weights are real numbers (thermal net weights, Eq. 8 of the paper), so
+this implementation keeps each side's move candidates in a lazy-deletion
+binary heap instead.  Gains are maintained incrementally with the
+standard FM critical-net update rules, so each move costs O(pins on
+critical nets), not O(neighbourhood size).
 
-Each pass moves vertices one at a time (always the best *legal* move),
-locks them, and finally rolls back to the best prefix seen — exactly the
-FM schedule, with a balance window ``[target - tol, target + tol]`` on
-part 0's share of the free vertex weight.
+Each pass moves vertices one at a time (always the best *legal* move
+over both sides), locks them, and finally rolls back to the best prefix
+seen — exactly the FM schedule, with a balance window
+``[target - tol, target + tol]`` on part 0's share of the free vertex
+weight.  The lightest and heaviest free vertex weights bound every
+move's effect on the balance, so a side none of whose moves could be
+legal is skipped whole, without touching its heap.  Inside a reachable
+side, an entry that is still illegal (coarse graphs mix vertex weights)
+is set aside and re-queued on its own side after the next applied move.
 
 The move loop deliberately uses plain Python lists: the hypergraphs have
 tiny nets, where list indexing beats NumPy scalar access several-fold,
@@ -31,6 +37,11 @@ import numpy as np
 from repro.analysis import IntArray, contract
 from repro.obs import get_recorder
 from repro.partition.hypergraph import FREE, Hypergraph
+
+#: A heap entry: ``(-gain, noise, vertex, stamp)``.  A total order (no
+#: two entries share vertex and stamp), so the move sequence does not
+#: depend on how the entries are spread over heaps.
+Entry = Tuple[float, float, int, int]
 
 #: Below this many total pins the scalar setup path is used: NumPy's
 #: per-call overhead beats the loop only once there is real data.
@@ -96,9 +107,13 @@ class FMRefiner:
         # The window must leave room to move the heaviest free vertex out
         # of a perfectly balanced state, or FM deadlocks immediately.
         movable = graph.fixed == FREE
+        # lightest and heaviest free weight: bounds on every move's
+        # balance shift, which let a pass skip a blocked side whole
+        self._wmin = self._wmax = 0.0
         if movable.any():
-            biggest = float(graph.vertex_weights[movable].max())
-            half = max(half, biggest)
+            self._wmin = float(graph.vertex_weights[movable].min())
+            self._wmax = float(graph.vertex_weights[movable].max())
+            half = max(half, self._wmax)
         self.lo = target * free_w - half
         self.hi = target * free_w + half
         # plain-list mirrors of the per-vertex arrays: the pass loop
@@ -162,15 +177,21 @@ class FMRefiner:
         vnets = g.vertex_nets_all()
         vw = self._vw
         free = self._free
+        wmin, wmax = self._wmin, self._wmax
 
         counts, gains, weight0 = self._pass_setup(side, free, vw)
 
         locked = [False] * n
         stamp = [0] * n
         noise = self.rng.random(n).tolist()
-        heap: List[Tuple[float, float, int, int]] = [
-            (-gains[v], noise[v], v, 0) for v in range(n) if free[v]]
-        heapq.heapify(heap)
+        # one heap per side: an entry stays on the side it started the
+        # pass on, since a vertex is locked as soon as it moves
+        heaps: Tuple[List[Entry], List[Entry]] = ([], [])
+        for v in range(n):
+            if free[v]:
+                heaps[side[v]].append((-gains[v], noise[v], v, 0))
+        for h in heaps:
+            heapq.heapify(h)
         heappop = heapq.heappop
         heappush = heapq.heappush
 
@@ -186,38 +207,54 @@ class FMRefiner:
         best_key = (viol0, 0.0)
         best_gain = 0.0
         best_prefix = 0
-        deferred: List[Tuple[float, float, int, int]] = []
+        deferred: List[Entry] = []
 
-        while heap:
-            item = heappop(heap)
-            neg_gain, _, v, st = item
-            if locked[v] or st != stamp[v]:
-                continue
-            w = vw[v]
-            new_w0 = weight0 - w if side[v] == 0 else weight0 + w
-            # legality check (inlined): inside the window, or at least
-            # reducing an existing violation
-            if not (lo <= new_w0 <= hi):
-                if weight0 < lo:
-                    legal = new_w0 > weight0
-                elif weight0 > hi:
-                    legal = new_w0 < weight0
+        while True:
+            # The move applied is the minimum-key legal entry over both
+            # sides.  A move is legal if it lands in the balance window,
+            # or at least reduces an existing violation.  Rounding is
+            # monotone, so the lightest and heaviest free weights bound
+            # every reachable ``new_w0`` of a side: a side none of whose
+            # moves can be legal is skipped without popping anything.
+            item: Optional[Entry] = None
+            for s in (0, 1):
+                if s == 0:
+                    n_lo, n_hi = weight0 - wmax, weight0 - wmin
                 else:
-                    legal = False
-                if not legal:
+                    n_lo, n_hi = weight0 + wmin, weight0 + wmax
+                if not ((n_hi >= lo and n_lo <= hi)
+                        or (weight0 < lo and n_hi > weight0)
+                        or (weight0 > hi and n_lo < weight0)):
+                    continue
+                h = heaps[s]
+                while h:
+                    top = h[0]
+                    v = top[2]
+                    if locked[v] or top[3] != stamp[v]:
+                        heappop(h)
+                        continue
+                    new_w0 = weight0 - vw[v] if s == 0 else weight0 + vw[v]
+                    if (lo <= new_w0 <= hi
+                            or (weight0 < lo and new_w0 > weight0)
+                            or (weight0 > hi and new_w0 < weight0)):
+                        if item is None or top < item:
+                            item = top
+                        break
                     # Set aside until the balance changes (the next
                     # applied move re-queues it).  Every pop consumes a
                     # heap entry, so the pass terminates.
-                    deferred.append(item)
-                    continue
-            if deferred:
-                for it in deferred:
-                    if not locked[it[2]]:
-                        heappush(heap, it)
-                deferred.clear()
+                    deferred.append(heappop(h))
+            if item is None:
+                break
+            neg_gain, _, v, _ = item
+            frm = side[v]
+            heappop(heaps[frm])
+            # deferred entries were checked fresh and unlocked this step
+            for it in deferred:
+                heappush(heaps[side[it[2]]], it)
+            deferred.clear()
 
             # ---- apply the move with FM critical-net gain updates ----
-            frm = side[v]
             to = 1 - frm
             delta: Dict[int, float] = {}
             dget = delta.get
@@ -250,7 +287,7 @@ class FMRefiner:
                                 delta[u] = dget(u, 0.0) + we
                             break
             side[v] = to
-            weight0 = new_w0
+            weight0 = weight0 - vw[v] if frm == 0 else weight0 + vw[v]
             locked[v] = True
             moves.append(v)
             cum_gain += -neg_gain
@@ -267,7 +304,8 @@ class FMRefiner:
                 if d:
                     gains[u] += d
                     stamp[u] += 1
-                    heappush(heap, (-gains[u], noise[u], u, stamp[u]))
+                    heappush(heaps[side[u]],
+                             (-gains[u], noise[u], u, stamp[u]))
 
         # roll back to the best prefix
         for v in moves[best_prefix:]:
@@ -342,16 +380,3 @@ class FMRefiner:
             if free[v] and side[v] == 0:
                 weight0 += vw[v]
         return counts_l, gains_l, weight0
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _legal(new_w0: float, cur_w0: float, lo: float, hi: float) -> bool:
-        """A move is legal if it lands in the balance window, or at least
-        reduces an existing violation."""
-        if lo <= new_w0 <= hi:
-            return True
-        if cur_w0 < lo:
-            return new_w0 > cur_w0
-        if cur_w0 > hi:
-            return new_w0 < cur_w0
-        return False

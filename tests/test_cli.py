@@ -245,6 +245,28 @@ class TestPipelineFlags:
         assert code == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
 
+    def test_unknown_circuit_is_one_line_error(self, capsys):
+        code = main(["place", "--circuit", "ibm99"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro place: error: unknown benchmark "
+                              "'ibm99'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--alpha-ilv=-inf", "alpha_ilv must be finite, got -inf"),
+        ("--alpha-ilv=nan", "alpha_ilv must be finite, got nan"),
+        ("--alpha-temp=inf", "alpha_temp must be finite, got inf"),
+        ("--alpha-temp=nan", "alpha_temp must be finite, got nan")])
+    def test_non_finite_coefficient_is_one_line_error(self, capsys,
+                                                      flag, message):
+        code = main(["place", "--circuit", "ibm01", "--scale", "0.01",
+                     flag])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro place: error: {message}\n"
+        assert "placing" not in captured.out
+
     def test_resume_with_empty_dir_reports_checkpoint_error(
             self, capsys, tmp_path):
         code = main(["place", "--circuit", "ibm01", "--scale", "0.01",

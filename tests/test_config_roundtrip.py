@@ -79,3 +79,26 @@ class TestRejection:
     def test_validators_still_fire_on_loaded_values(self):
         with pytest.raises(ValueError, match="alpha_ilv"):
             PlacementConfig.from_dict({"alpha_ilv": -1.0})
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    @pytest.mark.parametrize("name", ["alpha_ilv", "alpha_temp"])
+    def test_objective_coefficients(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PlacementConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", [
+        "thermal_drift_tolerance", "min_partition_tolerance",
+        "shift_max_density", "shift_upper_slope", "shift_lower_slope",
+        "shift_intercept"])
+    def test_other_float_knobs(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PlacementConfig(**{name: float("nan")})
+
+    def test_nan_in_loaded_document(self):
+        # JSON readers accept NaN; the config must still refuse it
+        doc = json.loads('{"alpha_temp": NaN}')
+        with pytest.raises(ValueError, match="alpha_temp must be finite"):
+            PlacementConfig.from_dict(doc)
