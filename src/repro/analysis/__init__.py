@@ -2,10 +2,10 @@
 
 Static side: precise dtype-carrying array aliases (:data:`FloatArray`,
 :data:`IntArray`, :data:`BoolArray`) used by annotations across
-``src/repro``, and the :func:`hot_path` marker the ``tools.lint`` AST
-linter keys on.  Dynamic side: the :func:`contract` decorator and
-:func:`validate_arrays` probe, which turn into hard shape/dtype
-preconditions when ``REPRO_CONTRACTS=1``.  See DESIGN.md
+``src/repro``, and the :func:`hot_path` marker the
+``tools.analysis.lintrules`` AST linter keys on.  Dynamic side: the
+:func:`contract` decorator and :func:`validate_arrays` probe, which
+turn into hard shape/dtype preconditions when ``REPRO_CONTRACTS=1``.  See DESIGN.md
 "Static analysis & contracts".
 """
 

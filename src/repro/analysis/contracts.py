@@ -191,10 +191,10 @@ def hot_path(func: F) -> F:
     """Mark a function as a designated vectorized kernel hot path.
 
     Purely declarative at runtime (the function is returned unchanged);
-    the ``tools.lint`` rule RPL005 forbids Python ``for``/``while``
-    loops inside functions carrying this marker, so accidental scalar
-    fallbacks in the batched kernels fail CI instead of silently
-    costing 10-100x.
+    the ``tools.analysis.lintrules`` rule RPL005 forbids Python
+    ``for``/``while`` loops inside functions carrying this marker, so
+    accidental scalar fallbacks in the batched kernels fail CI instead
+    of silently costing 10-100x.
     """
     func.__repro_hot_path__ = True  # type: ignore[attr-defined]
     return func

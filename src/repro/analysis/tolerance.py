@@ -1,12 +1,12 @@
 """Sanctioned floating-point comparison helpers.
 
-The lint rule RPL003 (``tools.lint``) forbids raw ``==``/``!=``
-against float literals anywhere in ``src/repro``: half of those
-comparisons *should* be tolerance-based (geometry, objective deltas
-accumulated through long incremental chains), and the other half are
-*intentionally exact* (cache-coherence shortcuts comparing a value
-against a cached copy of itself), which is impossible to tell apart at
-review time.  This module is the one place each intent is spelled out:
+The lint rule RPL003 (``tools.analysis.lintrules``) forbids raw
+``==``/``!=`` against float literals anywhere in ``src/repro``: half
+of those comparisons *should* be tolerance-based (geometry, objective
+deltas accumulated through long incremental chains), and the other
+half are *intentionally exact* (cache-coherence shortcuts comparing a
+value against a cached copy of itself), which is impossible to tell
+apart at review time.  This module is the one place each intent is spelled out:
 
 - :func:`near` / :func:`is_zero` — tolerance comparisons for quantities
   carrying accumulated rounding error.

@@ -17,10 +17,14 @@ Placement as a service::
         --circuit ibm01 --scale 0.05 --wait   # resubmit = cache hit
     python -m repro job list --socket /tmp/repro.sock
 
-``place`` and ``sweep`` go through the same engine in-process:
-``--jobs-dir``/``--cache-dir`` persist the job spool and the
-content-addressed result cache across runs, so an already-placed
-``(config, spec, netlist)`` triple short-circuits to a cache hit.
+A one-shot ``place`` runs ``Placer3D`` in-process and writes nothing
+but the files asked for.  ``--jobs-dir``/``--cache-dir`` route it
+through the service engine instead, which persists the job spool and
+the content-addressed result cache across runs, so an already-placed
+``(config, spec, netlist)`` triple short-circuits to a cache hit; the
+placement is byte-identical either way.  ``sweep`` always runs its
+points through the engine's scheduler, on a temporary spool unless a
+store is given.
 
 Profiling and perf watch::
 
@@ -76,6 +80,7 @@ import numpy as np
 from repro import (
     PlacementConfig,
     PlacementReport,
+    Placer3D,
     evaluate_placement,
     load_benchmark,
 )
@@ -83,7 +88,8 @@ from repro import obs
 from repro.core.checkpoint import CheckpointError
 from repro.core.config import THERMAL_FIDELITY_MODES
 from repro.core.pipeline import (PipelineHalted, PipelineSpec,
-                                 default_pipeline_spec)
+                                 default_pipeline_spec,
+                                 iter_spec_stage_names)
 from repro.netlist import bookshelf
 from repro.netlist.cache import (benchmark_key, bookshelf_key,
                                  cached_netlist)
@@ -180,8 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "allocation, expect ~8x slower runs")
     place.add_argument("--jobs-dir", metavar="DIR",
                        help="persistent service job-store root "
-                            "(default: a temporary spool discarded "
-                            "after the run)")
+                            "(default: no job store; with only "
+                            "--cache-dir, a temporary spool)")
     place.add_argument("--cache-dir", metavar="DIR",
                        help="content-addressed result cache root "
                             "(default: <jobs-dir>/cache); a rerun "
@@ -350,11 +356,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _place_input_error(exc: Exception) -> int:
-    """Report bad ``place`` input as one line on stderr; returns exit
+def _input_error(command: str, exc: Exception) -> int:
+    """Report bad ``command`` input as one line on stderr; returns exit
     code 2, as argparse does for malformed arguments."""
-    message = exc.args[0] if exc.args else exc
-    print(f"repro place: error: {message}", file=sys.stderr)
+    # str() of a KeyError quotes its message; take the bare argument
+    message = (exc.args[0] if isinstance(exc, KeyError) and exc.args
+               else exc)
+    print(f"repro {command}: error: {message}", file=sys.stderr)
     return 2
 
 
@@ -368,29 +376,29 @@ def _cmd_place(args) -> int:
             num_layers=args.layers, seed=args.seed,
             thermal_fidelity=args.thermal_fidelity,
             num_workers=0 if args.workers is None else args.workers)
-    except ValueError as exc:
-        return _place_input_error(exc)
-    if args.circuit:
-        try:
+        if args.circuit:
             netlist = cached_netlist(
                 benchmark_key(args.circuit, args.scale, args.seed),
                 lambda: load_benchmark(args.circuit, scale=args.scale,
                                        seed=args.seed))
-        except (KeyError, ValueError) as exc:
-            # unknown circuit name, or a scale the generator refuses
-            return _place_input_error(exc)
-    else:
-        netlist = cached_netlist(
-            bookshelf_key(args.bookshelf),
-            lambda: bookshelf.read_bookshelf_streaming(args.bookshelf))
+        else:
+            netlist = cached_netlist(
+                bookshelf_key(args.bookshelf),
+                lambda: bookshelf.read_bookshelf_streaming(
+                    args.bookshelf))
+    except (KeyError, ValueError, OSError) as exc:
+        # an unknown circuit name, a scale the generator refuses, a
+        # refused config value, or a missing or malformed Bookshelf file
+        return _input_error("place", exc)
     print(f"placing {netlist.name}: {netlist.num_cells} cells, "
           f"{netlist.num_nets} nets, {args.layers} layers")
     spec = (PipelineSpec.from_json_file(args.pipeline)
             if args.pipeline else default_pipeline_spec(config))
-    jobs_dir = args.jobs_dir
-    ephemeral = jobs_dir is None
-    if ephemeral:
-        jobs_dir = tempfile.mkdtemp(prefix="repro-jobs-")
+    # only a spec that legalizes can be held to the legality check
+    check = "detailed" in iter_spec_stage_names(spec)
+    if args.jobs_dir is None and args.cache_dir is None:
+        return _place_cold(args, netlist, config, spec, check)
+    jobs_dir = args.jobs_dir or tempfile.mkdtemp(prefix="repro-jobs-")
     engine = PlacementEngine(jobs_dir, cache_dir=args.cache_dir,
                              workers=1)
     try:
@@ -398,17 +406,17 @@ def _cmd_place(args) -> int:
             config=config.to_dict(), circuit=args.circuit,
             bookshelf=args.bookshelf, scale=args.scale,
             spec=spec.to_dict() if args.pipeline else None,
-            check=True)
+            check=check)
         job_id = engine.submit(request, netlist=netlist)
         entry = engine.try_cache(job_id)
         if entry is not None:
             return _place_from_cache(args, netlist, config, engine,
                                      job_id, entry)
-        return _place_cold(args, netlist, config, spec, engine,
+        return _place_cold(args, netlist, config, spec, check, engine,
                            job_id)
     finally:
         engine.close()
-        if ephemeral:
+        if args.jobs_dir is None:
             shutil.rmtree(jobs_dir, ignore_errors=True)
 
 
@@ -419,7 +427,6 @@ def _place_from_cache(args, netlist, config, engine, job_id,
     from repro.core.context import auto_chip
     from repro.netlist.placement import Placement
     document = engine.status(job_id)
-    summary = document["result"]
     print(f"cache hit: reusing placement "
           f"{document['hashes']['cache_key'][:12]} ({job_id})")
     with np.load(entry.placement_path) as data:
@@ -427,33 +434,21 @@ def _place_from_cache(args, netlist, config, engine, job_id,
                               x=data["x"], y=data["y"], z=data["z"])
     report = evaluate_placement(
         placement, config.tech,
-        runtime_seconds=float(summary["wall_seconds"]))
-    print(PlacementReport.header())
-    print(report.row())
-    if args.maps:
-        pm = PowerModel(netlist, config.tech)
-        powers = pm.cell_powers(compute_net_metrics(placement))
-        print()
-        print(viz.layer_summary(placement, powers))
-        for layer in range(config.num_layers):
-            print()
-            print(viz.density_map(placement, layer))
-    if args.out:
-        bookshelf.write_bookshelf(args.out, netlist, placement)
-        print(f"wrote {args.out}.nodes/.nets/.pl")
+        runtime_seconds=float(document["result"]["wall_seconds"]))
+    manifest = None
     if args.telemetry_out:
         with open(document["manifest_path"], "r",
                   encoding="utf-8") as fh:
             manifest = json.load(fh)
-        manifest_path = obs.write_manifest(
-            f"{args.telemetry_out}.manifest.json", manifest)
-        print(f"wrote {manifest_path}")
-    return 0
+    return _place_report(args, netlist, config, placement, report,
+                         manifest)
 
 
-def _place_cold(args, netlist, config, spec, engine, job_id) -> int:
-    """The `place` cold path: the historical run sequence, wrapped in
-    job bookkeeping by ``PlacementEngine.run_inline``."""
+def _place_cold(args, netlist, config, spec, check, engine=None,
+                job_id=None) -> int:
+    """The `place` run path: ``Placer3D.run`` on the calling thread,
+    directly without a store, else wrapped in job bookkeeping by
+    ``PlacementEngine.run_inline``; both make the same placer call."""
     # --profile flips the environment opt-in *before* the recorder is
     # built (so it auto-attaches a ResourceTracker) and before any
     # worker processes fork (so they inherit the opt-in too).
@@ -477,15 +472,18 @@ def _place_cold(args, netlist, config, spec, engine, job_id) -> int:
     if args.profile and recorder is not None:
         profiler = obs.SamplingProfiler(
             tracer=recorder.tracer, interval=args.profile_interval)
+    run_options = dict(check=check, checkpoint_dir=args.checkpoint_dir,
+                       resume=args.resume, halt_after=args.halt_after)
     try:
         if profiler is not None:
             profiler.start()
-        result = engine.run_inline(job_id, netlist=netlist,
-                                   config=config, spec=spec,
-                                   recorder=recorder, check=True,
-                                   checkpoint_dir=args.checkpoint_dir,
-                                   resume=args.resume,
-                                   halt_after=args.halt_after)
+        if engine is None:
+            result = Placer3D(netlist, config, recorder=recorder,
+                              spec=spec).run(**run_options)
+        else:
+            result = engine.run_inline(job_id, netlist=netlist,
+                                       config=config, spec=spec,
+                                       recorder=recorder, **run_options)
     except PipelineHalted as halted:
         print(f"halted after {halted.unit}"
               + (f"; checkpoint at {halted.directory}"
@@ -509,39 +507,55 @@ def _place_cold(args, netlist, config, spec, engine, job_id) -> int:
     report = evaluate_placement(result.placement, config.tech,
                                 runtime_seconds=result.runtime_seconds,
                                 stage_seconds=result.stage_seconds)
-    print(PlacementReport.header())
-    print(report.row())
-    if args.trace and result.telemetry is not None:
-        print()
-        print(obs.render(result.telemetry, title=netlist.name))
-    if args.profile:
-        print()
-        print(obs.render_resources(resources_doc))
-        print()
-        print(obs.render_profile(profile_doc))
-    if args.maps:
-        pm = PowerModel(netlist, config.tech)
-        powers = pm.cell_powers(compute_net_metrics(result.placement))
-        print()
-        print(viz.layer_summary(result.placement, powers))
-        for layer in range(config.num_layers):
-            print()
-            print(viz.density_map(result.placement, layer))
-    if args.out:
-        bookshelf.write_bookshelf(args.out, netlist, result.placement)
-        print(f"wrote {args.out}.nodes/.nets/.pl")
+    manifest = None
     if args.telemetry_out:
         manifest = obs.build_manifest(
             netlist, config, result, trace_path=trace_path,
             peak_temperature=report.max_temperature,
             pipeline=spec.to_dict(), resources=resources_doc,
-            profile=profile_doc, job=engine.job_section(job_id))
+            profile=profile_doc,
+            job=engine.job_section(job_id) if engine is not None
+            else None)
+    code = _place_report(args, netlist, config, result.placement,
+                         report, manifest, telemetry=result.telemetry,
+                         resources=resources_doc, profile=profile_doc)
+    if profiler is not None and args.telemetry_out:
+        collapsed_path = f"{args.telemetry_out}.collapsed.txt"
+        profiler.data.write_collapsed(collapsed_path)
+        print(f"wrote {collapsed_path}")
+    return code
+
+
+def _place_report(args, netlist, config, placement, report, manifest,
+                  *, telemetry: Optional[obs.Telemetry] = None,
+                  resources: Optional[dict] = None,
+                  profile: Optional[dict] = None) -> int:
+    """Print the `place` report and write the ``--out`` design and the
+    ``--telemetry-out`` manifest, for a run and a cache hit alike."""
+    print(PlacementReport.header())
+    print(report.row())
+    if args.trace and telemetry is not None:
+        print()
+        print(obs.render(telemetry, title=netlist.name))
+    if profile is not None:
+        print()
+        print(obs.render_resources(resources))
+        print()
+        print(obs.render_profile(profile))
+    if args.maps:
+        pm = PowerModel(netlist, config.tech)
+        powers = pm.cell_powers(compute_net_metrics(placement))
+        print()
+        print(viz.layer_summary(placement, powers))
+        for layer in range(config.num_layers):
+            print()
+            print(viz.density_map(placement, layer))
+    if args.out:
+        bookshelf.write_bookshelf(args.out, netlist, placement)
+        print(f"wrote {args.out}.nodes/.nets/.pl")
+    if manifest is not None:
         manifest_path = obs.write_manifest(
             f"{args.telemetry_out}.manifest.json", manifest)
-        if profiler is not None:
-            collapsed_path = f"{args.telemetry_out}.collapsed.txt"
-            profiler.data.write_collapsed(collapsed_path)
-            print(f"wrote {collapsed_path}")
         errors = obs.validate_manifest(manifest)
         if errors:
             for error in errors:
@@ -549,21 +563,22 @@ def _place_cold(args, netlist, config, spec, engine, job_id) -> int:
             print(f"manifest failed schema validation: {manifest_path}",
                   file=sys.stderr)
             return 1
-        print(f"wrote {trace_path} and {manifest_path}")
+        written = [manifest["trace_path"], manifest_path]
+        print("wrote " + " and ".join(p for p in written if p))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     alphas = np.logspace(np.log10(5e-9), np.log10(5.2e-3), args.points)
-    netlist = cached_netlist(
-        benchmark_key(args.circuit, args.scale, args.seed),
-        lambda: load_benchmark(args.circuit, scale=args.scale,
-                               seed=args.seed))
+    try:
+        netlist = cached_netlist(
+            benchmark_key(args.circuit, args.scale, args.seed),
+            lambda: load_benchmark(args.circuit, scale=args.scale,
+                                   seed=args.seed))
+    except (KeyError, ValueError) as exc:
+        return _input_error("sweep", exc)
     digest = service.netlist_hash(netlist)
-    jobs_dir = args.jobs_dir
-    ephemeral = jobs_dir is None
-    if ephemeral:
-        jobs_dir = tempfile.mkdtemp(prefix="repro-jobs-")
+    jobs_dir = args.jobs_dir or tempfile.mkdtemp(prefix="repro-jobs-")
     engine = PlacementEngine(jobs_dir, cache_dir=args.cache_dir,
                              workers=args.workers)
     try:
@@ -586,7 +601,7 @@ def _cmd_sweep(args) -> int:
         documents = engine.wait(job_ids)
     finally:
         engine.close()
-        if ephemeral:
+        if args.jobs_dir is None:
             shutil.rmtree(jobs_dir, ignore_errors=True)
     print(f"{'alpha_ILV':>10} {'WL (m)':>12} {'ILVs':>8} "
           f"{'ILV density':>12}")

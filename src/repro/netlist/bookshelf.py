@@ -382,6 +382,8 @@ def read_nets_streaming(path: str, netlist: Netlist,
     if pin_i != num_pins:
         raise ValueError(f"{path}: NumPins={num_pins} but found "
                          f"{pin_i} pin records")
+    if num_nets == 0:
+        return  # a valid empty section; no NetDegree line allocated
     assert net_ptr is not None and pin_cell is not None \
         and pin_role is not None
     net_ptr[num_nets] = pin_i

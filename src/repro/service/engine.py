@@ -1,4 +1,4 @@
-"""The placement engine: the façade every run path submits through.
+"""The placement engine: the façade every stored run submits through.
 
 ``PlacementEngine`` composes the job store, the result cache, an
 execution backend and the scheduler into one object with two modes:
@@ -8,11 +8,15 @@ execution backend and the scheduler into one object with two modes:
   the ``sweep`` and ``serve`` paths.
 - **Inline** (``run_inline``): the caller's own netlist/config/spec
   objects run on the calling thread, with job bookkeeping wrapped
-  around the exact historical call sequence — the ``place`` path,
-  which must stay bit-identical to the pre-service CLI.
+  around the same placer call a storeless ``place`` makes — the
+  ``place --jobs-dir/--cache-dir`` path.
 
-Either way the result lands in the content-addressed cache, so a
-``place`` today seeds a cache hit for a ``sweep`` point tomorrow.
+A one-shot ``place`` with neither flag never builds an engine: it runs
+``Placer3D`` directly, writing no spool and no cache entry.  With a
+store, either mode publishes through
+:func:`~repro.service.worker.publish_result` into the
+content-addressed cache, so a ``place --cache-dir`` today seeds a
+cache hit for a ``sweep`` point tomorrow.
 """
 
 from __future__ import annotations
@@ -21,16 +25,12 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-import numpy as np
-
 from repro import obs
-from repro.core.checkpoint import CheckpointError
 from repro.core.config import PlacementConfig
 from repro.core.pipeline import (PipelineHalted, PipelineSpec,
                                  default_pipeline_spec)
 from repro.core.placer import Placer3D
 from repro.core.result import PlacementResult
-from repro.metrics.report import evaluate_placement
 from repro.netlist.netlist import Netlist
 from repro.obs.manifest import config_hash, content_hash
 from repro.parallel import create_backend
@@ -38,7 +38,7 @@ from repro.service.cache import (CacheEntry, ResultCache, cache_key,
                                  netlist_hash)
 from repro.service.jobstore import JobRequest, JobStateError, JobStore
 from repro.service.scheduler import Scheduler, fulfil_from_cache
-from repro.service.worker import (load_job_netlist, result_summary)
+from repro.service.worker import load_job_netlist, publish_result
 
 __all__ = ["PlacementEngine"]
 
@@ -112,7 +112,7 @@ class PlacementEngine:
         self.recorder.count("jobs/submitted")
         return str(document["id"])
 
-    # -- inline execution (the bit-identical `place` path) -------------
+    # -- inline execution (the `place` path with a store) --------------
     def run_inline(self, job_id: str, *, netlist: Netlist,
                    config: PlacementConfig, spec: PipelineSpec,
                    recorder: Optional[obs.Recorder] = None,
@@ -124,16 +124,19 @@ class PlacementEngine:
         """Run a queued job on the calling thread with the caller's
         own objects.
 
-        The placer invocation is exactly the historical CLI sequence —
-        same netlist/config/spec/recorder instances, same keyword
-        values — so the resulting placement is bit-identical to the
-        pre-service run path; the engine only wraps state transitions
-        and result/cache publication around it.
+        ``repro place`` takes this path only when ``--jobs-dir`` or
+        ``--cache-dir`` asks for a store; without one it makes the
+        same ``Placer3D(...).run(...)`` call directly.  The placer
+        invocation here is that call — same netlist/config/spec/
+        recorder instances, same keyword values — so the placement is
+        bit-identical either way; the engine only wraps state
+        transitions and result/cache publication around it.
 
         Raises:
             PipelineHalted: ``halt_after`` boundary reached (job parks
                 as ``cancelled``, resumable).
-            CheckpointError: resume mismatch (job parks as ``failed``).
+            CheckpointError: resume mismatch (job parks as ``failed``,
+                as on any other exception).
         """
         self.store.transition(job_id, "running", expect=("queued",))
         self.recorder.count("cache/miss")
@@ -148,41 +151,21 @@ class PlacementEngine:
             self.store.transition(job_id, "cancelled",
                                   expect=("running",))
             raise
-        except CheckpointError as exc:
-            self.store.transition(job_id, "failed", expect=("running",),
-                                  error=str(exc))
-            raise
         except Exception as exc:
             self.store.transition(job_id, "failed", expect=("running",),
                                   error=str(exc))
             raise
-        self._publish_inline(job_id, netlist, config, spec, result)
-        return result
-
-    def _publish_inline(self, job_id: str, netlist: Netlist,
-                        config: PlacementConfig, spec: PipelineSpec,
-                        result: PlacementResult) -> None:
         document = self.store.load(job_id)
         result_dir = self.store.result_dir(job_id)
-        result_dir.mkdir(exist_ok=True)
-        placement_path = result_dir / "placement.npz"
-        np.savez_compressed(placement_path, x=result.placement.x,
-                            y=result.placement.y, z=result.placement.z)
-        manifest = obs.build_manifest(
-            netlist, config, result, pipeline=spec.to_dict(),
-            job={"id": job_id, "cache": "miss",
-                 "preemptions": int(document["preemptions"])})
-        manifest_path = obs.write_manifest(result_dir / "manifest.json",
-                                           manifest)
-        report = evaluate_placement(result.placement, config.tech,
-                                    thermal=False)
-        summary = result_summary(result, report)
+        manifest, manifest_path, summary = publish_result(
+            result_dir, document, netlist, config, spec, result)
         self.store.transition(job_id, "done", expect=("running",),
                               result=summary,
                               manifest_path=manifest_path)
         self.recorder.count("jobs/done")
         self.cache.store(str(document["hashes"]["cache_key"]),
-                         placement_path, manifest, summary)
+                         result_dir / "placement.npz", manifest, summary)
+        return result
 
     def try_cache(self, job_id: str) -> Optional[CacheEntry]:
         """Short-circuit a queued job if its key is already cached."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.core.config import PlacementConfig
 from repro.core.pipeline import (PipelinePreempted, PipelineSpec,
                                  default_pipeline_spec)
 from repro.core.placer import Placer3D
+from repro.core.result import PlacementResult
 from repro.metrics.report import PlacementReport, evaluate_placement
 from repro.netlist import bookshelf
 from repro.netlist.cache import (benchmark_key, bookshelf_key,
@@ -38,7 +39,8 @@ from repro.netlist.netlist import Netlist
 from repro.netlist.suite import load_benchmark
 from repro.service.jobstore import JobRequest
 
-__all__ = ["execute_job", "load_job_netlist", "result_summary"]
+__all__ = ["execute_job", "load_job_netlist", "publish_result",
+           "result_summary"]
 
 
 def load_job_netlist(request: JobRequest, seed: int) -> Netlist:
@@ -78,6 +80,40 @@ def result_summary(result: Any,
         "ilv_density": float(report.ilv_density),
         "wall_seconds": float(result.runtime_seconds),
     }
+
+
+def publish_result(result_dir: Path, document: Dict[str, Any],
+                   netlist: Netlist, config: PlacementConfig,
+                   spec: PipelineSpec, result: PlacementResult,
+                   trace_path: Optional[str] = None,
+                   ) -> Tuple[Dict[str, Any], str, Dict[str, Any]]:
+    """Write a finished job's ``placement.npz`` and ``manifest.json``
+    into ``result_dir``.
+
+    Args:
+        result_dir: the job's result directory (created if missing).
+        document: the job document (its ``id`` and ``preemptions``
+            fill the manifest's ``job`` section).
+        trace_path: the JSONL trace the run wrote, if any.
+
+    Returns:
+        ``(manifest, manifest_path, summary)``, the summary being
+        :func:`result_summary` of the evaluated placement.
+    """
+    report = evaluate_placement(result.placement, config.tech,
+                                thermal=False)
+    result_dir.mkdir(exist_ok=True)
+    np.savez_compressed(result_dir / "placement.npz",
+                        x=result.placement.x, y=result.placement.y,
+                        z=result.placement.z)
+    manifest = obs.build_manifest(
+        netlist, config, result, trace_path=trace_path,
+        pipeline=spec.to_dict(),
+        job={"id": str(document["id"]), "cache": "miss",
+             "preemptions": int(document.get("preemptions", 0))})
+    manifest_path = obs.write_manifest(result_dir / "manifest.json",
+                                       manifest)
+    return manifest, manifest_path, result_summary(result, report)
 
 
 def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -133,28 +169,16 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
     if recorder is not None:
         recorder.close()
 
-    report = evaluate_placement(result.placement, config.tech,
-                                thermal=False)
-    result_dir = job_dir / "result"
-    result_dir.mkdir(exist_ok=True)
-    placement_path = result_dir / "placement.npz"
-    np.savez_compressed(placement_path, x=result.placement.x,
-                        y=result.placement.y, z=result.placement.z)
-
-    manifest = obs.build_manifest(
-        netlist, config, result, trace_path=trace_path,
-        pipeline=spec.to_dict(),
-        job={"id": document["id"], "cache": "miss",
-             "preemptions": int(document.get("preemptions", 0))})
-    manifest_path = obs.write_manifest(result_dir / "manifest.json",
-                                       manifest)
+    manifest, manifest_path, summary = publish_result(
+        job_dir / "result", document, netlist, config, spec, result,
+        trace_path=trace_path)
     errors = list(obs.validate_manifest(manifest))
     if request.telemetry_prefix:
         obs.write_manifest(f"{request.telemetry_prefix}.manifest.json",
                            manifest)
     return {
         "state": "done",
-        "summary": result_summary(result, report),
+        "summary": summary,
         "manifest_path": manifest_path,
         "manifest_errors": errors,
         "telemetry": result.telemetry,

@@ -146,6 +146,90 @@ class TestPlaceCommand:
         assert "round 1/" in err
 
 
+class TestPlaceStore:
+    """`place` runs in-process without a store and through the service
+    engine with one; the placement is the same either way."""
+
+    ARGS = ["place", "--circuit", "ibm01", "--scale", "0.01",
+            "--layers", "2"]
+
+    def test_storeless_place_leaves_no_spool(self, capsys, tmp_path,
+                                             monkeypatch):
+        import tempfile
+
+        import repro.cli
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("storeless place built a job engine")
+
+        spool = tmp_path / "tmp"
+        spool.mkdir()
+        monkeypatch.setenv("TMPDIR", str(spool))
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.cli, "PlacementEngine", no_engine)
+            assert main(self.ARGS + ["--out", str(tmp_path / "a")]) == 0
+        assert list(spool.iterdir()) == []
+        jobs = tmp_path / "jobs"
+        assert main(self.ARGS + ["--jobs-dir", str(jobs),
+                                 "--out", str(tmp_path / "b")]) == 0
+        assert (jobs / "job-000001" / "job.json").exists()
+        assert (tmp_path / "a.pl").read_bytes() \
+            == (tmp_path / "b.pl").read_bytes()
+
+    def test_cache_dir_miss_then_hit(self, capsys, tmp_path):
+        import json
+
+        from repro.obs import validate_manifest
+        cache = str(tmp_path / "cache")
+        for run in ("first", "second"):
+            code = main(self.ARGS + [
+                "--cache-dir", cache, "--out", str(tmp_path / run),
+                "--telemetry-out", str(tmp_path / run)])
+            assert code == 0
+            out = capsys.readouterr().out
+            assert ("cache hit" in out) == (run == "second")
+            manifest = json.load(open(tmp_path / f"{run}.manifest.json"))
+            assert validate_manifest(manifest) == []
+            assert manifest["job"]["cache"] == \
+                ("hit" if run == "second" else "miss")
+        assert (tmp_path / "first.pl").read_bytes() \
+            == (tmp_path / "second.pl").read_bytes()
+
+    def test_storeless_manifest_has_null_job(self, capsys, tmp_path):
+        import json
+
+        from repro.obs import validate_manifest
+        prefix = str(tmp_path / "run")
+        assert main(self.ARGS + ["--telemetry-out", prefix]) == 0
+        manifest = json.load(open(prefix + ".manifest.json"))
+        assert manifest["job"] is None
+        assert validate_manifest(manifest) == []
+
+    def test_global_only_pipeline_skips_legality_check(self, capsys,
+                                                       tmp_path):
+        import json
+        spec_path = tmp_path / "global.json"
+        spec_path.write_text(json.dumps(
+            {"pipeline": [{"stage": "global"}]}))
+        code = main(self.ARGS + ["--pipeline", str(spec_path),
+                                 "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert (tmp_path / "run.pl").exists()
+
+    def test_bookshelf_without_nets_places(self, capsys, tmp_path):
+        from repro import load_benchmark
+        from repro.netlist import bookshelf
+        prefix = str(tmp_path / "nonets")
+        bookshelf.write_nodes(prefix + ".nodes",
+                              load_benchmark("ibm01", scale=0.01))
+        with open(prefix + ".nets", "w") as fh:
+            fh.write("UCLA nets 1.0\nNumNets : 0\nNumPins : 0\n")
+        code = main(["place", "--bookshelf", prefix, "--layers", "2"])
+        assert code == 0
+        assert "123 cells, 0 nets" in capsys.readouterr().out
+
+
 class TestSweepCommand:
     def test_sweep_prints_curve(self, capsys):
         code = main(["sweep", "--circuit", "ibm01", "--scale", "0.01",
@@ -155,6 +239,14 @@ class TestSweepCommand:
         assert "alpha_ILV" in out
         assert out.count("\n") > 5
         assert "o" in out  # the ascii tradeoff plot
+
+    def test_unknown_circuit_is_one_line_error(self, capsys):
+        code = main(["sweep", "--circuit", "ibm99"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro sweep: error: unknown benchmark "
+                              "'ibm99'")
+        assert err.count("\n") == 1
 
     def test_sweep_per_point_manifests(self, capsys, tmp_path):
         import json
@@ -251,6 +343,14 @@ class TestPipelineFlags:
         err = capsys.readouterr().err
         assert err.startswith("repro place: error: unknown benchmark "
                               "'ibm99'")
+        assert err.count("\n") == 1
+
+    def test_missing_bookshelf_is_one_line_error(self, capsys, tmp_path):
+        code = main(["place", "--bookshelf", str(tmp_path / "absent")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro place: error: [Errno 2] No such "
+                              "file or directory")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("flag,message", [

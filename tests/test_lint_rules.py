@@ -1,10 +1,11 @@
-"""Per-rule fixtures for the domain AST linter (``tools.lint``).
+"""Per-rule fixtures for the domain AST linter
+(``tools.analysis.lintrules``).
 
 Each rule gets at least one failing fixture and one passing fixture, so
 a regression in the checker (a rule silently going dead, or a rule
 over-firing) is caught here rather than in CI noise.  The final test
 asserts the shipped source tree itself is lint-clean — the same gate CI
-runs via ``python -m tools.lint src/repro``.
+runs as the ``lint`` pass of ``python -m tools.analysis src/repro``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from tools.lint import (RULES, Violation, check_source, is_kernel_module,
-                        lint_paths)
+from tools.analysis.lintrules import (RULES, Violation, check_source,
+                                      is_kernel_module, lint_paths)
 
 
 def rules_of(source: str, kernel: bool = False) -> List[str]:

@@ -286,6 +286,22 @@ class TestStreamingErrorPaths:
         with pytest.raises(ValueError, match="malformed NetDegree"):
             bookshelf.read_nets_streaming(path, self._netlist_ab())
 
+    def test_nets_empty_section_accepted(self, tmp_path):
+        path = self._nets(
+            tmp_path, "UCLA nets 1.0\nNumNets : 0\nNumPins : 0\n")
+        netlist = self._netlist_ab()
+        bookshelf.read_nets_streaming(path, netlist)
+        assert netlist.num_nets == 0
+        buffered = self._netlist_ab()
+        bookshelf.read_nets(path, buffered)
+        assert buffered.num_nets == 0
+
+    def test_nets_empty_section_with_pins_rejected(self, tmp_path):
+        path = self._nets(
+            tmp_path, "UCLA nets 1.0\nNumNets : 0\nNumPins : 2\n")
+        with pytest.raises(ValueError, match="NumPins=2"):
+            bookshelf.read_nets_streaming(path, self._netlist_ab())
+
     def test_nets_stray_record(self, tmp_path):
         path = self._nets(
             tmp_path, "UCLA nets 1.0\nNumNets : 1\nNumPins : 2\n"

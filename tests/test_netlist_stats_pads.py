@@ -1,14 +1,10 @@
-"""Tests for netlist statistics, Rent estimation, pads and k-way
-partitioning."""
+"""Tests for netlist statistics, Rent estimation and pads."""
 
-import numpy as np
 import pytest
 
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.pads import add_peripheral_pads, _point_on_perimeter
 from repro.netlist.stats import rent_exponent, summarize
-from repro.partition import BisectionConfig, Hypergraph
-from repro.partition.kway import kway_cut, partition_kway
 from tests.conftest import make_chip
 
 
@@ -109,50 +105,3 @@ class TestPads:
             assert result.placement.position(cell.id) == \
                 cell.fixed_position
 
-
-class TestKway:
-    def ring(self, n):
-        return Hypergraph(n, [[i, (i + 1) % n] for i in range(n)])
-
-    def test_k1_trivial(self):
-        g = self.ring(8)
-        parts, cut = partition_kway(g, 1)
-        assert set(parts) == {0}
-        assert cut == 0.0
-
-    def test_k2_matches_bisect_quality(self):
-        g = self.ring(24)
-        parts, cut = partition_kway(g, 2, BisectionConfig(seed=0))
-        assert cut == pytest.approx(2.0)
-
-    def test_k4_ring(self):
-        g = self.ring(32)
-        parts, cut = partition_kway(g, 4, BisectionConfig(seed=0))
-        assert set(parts) == {0, 1, 2, 3}
-        assert cut <= 6.0  # optimal is 4
-        sizes = np.bincount(parts)
-        assert sizes.max() <= 2 * sizes.min()
-
-    def test_k3_non_power_of_two(self):
-        g = self.ring(30)
-        parts, cut = partition_kway(g, 3, BisectionConfig(seed=1))
-        sizes = np.bincount(parts, minlength=3)
-        assert all(s > 0 for s in sizes)
-        assert sizes.max() <= 2 * sizes.min()
-
-    def test_kway_cut_counts_spanning_once(self):
-        g = Hypergraph(3, [[0, 1, 2]])
-        assert kway_cut(g, np.array([0, 1, 2])) == 1.0
-        assert kway_cut(g, np.array([0, 0, 0])) == 0.0
-
-    def test_invalid_k(self):
-        g = self.ring(4)
-        with pytest.raises(ValueError):
-            partition_kway(g, 0)
-        with pytest.raises(ValueError):
-            partition_kway(g, 5)
-
-    def test_fixed_only_for_k2(self):
-        g = Hypergraph(4, [[0, 1]], fixed=[0, -1, -1, 1])
-        with pytest.raises(ValueError):
-            partition_kway(g, 3)

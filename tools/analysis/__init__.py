@@ -4,8 +4,8 @@
 module-resolved call graph over the package trees given on the command
 line, then runs every registered pass:
 
-* ``lint`` — the single-node RPL000-RPL013 rules (``tools.lint`` is
-  now a shim over this engine);
+* ``lint`` — the single-node RPL000-RPL015 rules of
+  :mod:`tools.analysis.lintrules`;
 * ``determinism`` — RNG/entropy/unordered-iteration closure from
   ``PlacementPipeline.run`` (RPA1xx);
 * ``purity`` — logging/IO/exact-solve/allocation closure from every

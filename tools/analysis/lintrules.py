@@ -3,8 +3,8 @@
 Generic tools (ruff, mypy) cannot see the repo-specific contracts the
 kernel layer depends on; these single-module rules enforce them as hard
 CI gates.  They run as one pass of the whole-program analyzer
-(``python -m tools.analysis src/repro``); the historical
-``python -m tools.lint`` entry point is a thin shim over this module.
+(``python -m tools.analysis src/repro``), or alone as
+``python -m tools.analysis.lintrules src/repro``.
 
 Rules (each documented in DESIGN.md "Static analysis & contracts"):
 
@@ -787,7 +787,7 @@ def lint_paths(roots: Sequence[str]) -> List[Violation]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
-        prog="python -m tools.lint",
+        prog="python -m tools.analysis.lintrules",
         description="Kernel-contract AST linter (rules RPL001-RPL015).")
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to lint "
@@ -806,5 +806,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{len(violations)} violation(s) found", file=sys.stderr)
         return 1
     files = sum(1 for _ in iter_python_files(args.paths))
-    print(f"tools.lint: {files} file(s) clean")
+    print(f"lintrules: {files} file(s) clean")
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,7 @@ time; ``python -m tools.analysis`` runs them in registration order.
 Rule id ranges:
 
 ======== ==============================================================
-RPL0xx   Single-node rules migrated from ``tools.lint`` (the ``lint``
+RPL0xx   Single-node rules of ``tools.analysis.lintrules`` (the ``lint``
          pass wraps the whole rule engine).
 RPA1xx   Determinism closure from ``PlacementPipeline.run``.
 RPA2xx   Hot-path purity closure from every ``@hot_path`` kernel.
@@ -116,8 +116,8 @@ class LintPass(AnalysisPass):
     stable fingerprints."""
 
     name = "lint"
-    description = ("single-node kernel-contract rules RPL000-RPL013 "
-                   "(migrated from tools.lint)")
+    description = ("single-node kernel-contract rules RPL000-RPL015 "
+                   "(tools.analysis.lintrules)")
 
     def run(self, ctx: AnalysisContext) -> List[Finding]:
         findings: List[Finding] = []
