@@ -44,12 +44,17 @@ bound on any measured speedup.  The rows carry the zero-copy dispatch
 instrumentation (payload bytes per task vs the dense pickled-task
 baseline) and gate the >= 10x reduction.
 
-``--large`` adds the true-scale section: full-size ibm01 (scale 0.5
-and 1.0) through the default pipeline and a 50k-cell synthetic
+``--large`` adds the true-scale section: ibm01 at scale 0.25, 0.5
+and 1.0 through the default pipeline and a 50k-cell synthetic
 instance through the global (dispatch-heavy) stage, each recording
 wall seconds, peak RSS, and dispatch bytes for the perf ledger; plus
 a subprocess probe comparing the streaming and buffered Bookshelf
 readers' parse-time RSS on full-size ibm01.
+
+Every ``peak_rss_bytes`` row (each ladder scale and each large row) is
+measured by placing the instance in a fresh interpreter: a process's
+high-water mark never falls, so in-process readings carry the largest
+earlier row into every later one.
 
 Results are written as machine-readable JSON so before/after runs can
 be compared; ``--baseline`` merges a previous run into a single
@@ -79,8 +84,7 @@ import numpy as np
 
 from common import SeriesWriter
 from repro import Placer3D, PlacementConfig, load_benchmark
-from repro.obs import (Recorder, SamplingProfiler, Stopwatch,
-                       peak_rss_bytes)
+from repro.obs import Recorder, SamplingProfiler, Stopwatch
 
 #: instance-size ladder (fractions of published ibm01 cell count)
 SCALES = [0.025, 0.05, 0.1]
@@ -176,10 +180,10 @@ def bench_full_placement(scales: List[float],
             "telemetry_overhead_noise_band_pct": noise_band,
             "profile_overhead_pct": max(0.0, 100.0 * profile_overhead),
             "profile_overhead_pct_raw": 100.0 * profile_overhead,
-            # process high-water mark after this scale's runs — a
-            # monotone per-process statistic; the largest scale's row
-            # is the one the ledger watches
-            "peak_rss_bytes": peak_rss_bytes(),
+            # one more placement in a fresh interpreter: its peak RSS
+            # is this scale's own, not this process's high-water mark
+            "peak_rss_bytes": _place_in_subprocess(
+                CIRCUIT, scale)["peak_rss_bytes"],
         }
     return out
 
@@ -259,14 +263,54 @@ def bench_workers(scale: float = 0.1,
 
 
 #: full-size instance ladder: (circuit, scale, reduced-pipeline?).
-#: Ordered by cell count so the monotone process RSS high-water after
-#: each row approximates that row's peak.  The synthetic row runs the
-#: global stage only — recursive bisection is the parallel,
-#: dispatch-heavy stage this PR targets, and a full legalization flow
+#: The synthetic row runs the global stage only — recursive bisection
+#: is the parallel, dispatch-heavy stage, and a full legalization flow
 #: at 50k cells would dominate the bench's wall budget for no extra
 #: signal.
-LARGE_ROWS = [("ibm01", 0.5, False), ("ibm01", 1.0, False),
-              ("synthetic50k", 1.0, True)]
+LARGE_ROWS = [("ibm01", 0.25, False), ("ibm01", 0.5, False),
+              ("ibm01", 1.0, False), ("synthetic50k", 1.0, True)]
+
+#: subprocess probe: place one instance in a *fresh* interpreter so its
+#: peak RSS is that placement's own footprint, not the accumulated
+#: high-water mark of this process.  Prints one JSON line.
+_PLACE_PROBE = """
+import json, sys
+from repro import Placer3D, PlacementConfig, load_benchmark
+from repro.core.pipeline import PipelineSpec, StageEntry
+from repro.obs import Recorder, Stopwatch, peak_rss_bytes
+circuit, scale, workers, reduced = sys.argv[1:]
+netlist = load_benchmark(circuit, scale=float(scale), seed=0)
+config = PlacementConfig(num_workers=int(workers))
+spec = (PipelineSpec(entries=(StageEntry("global"),))
+        if reduced == "1" else None)
+recorder = Recorder()
+watch = Stopwatch()
+result = Placer3D(netlist, config, recorder=recorder, spec=spec).run()
+wall = watch.elapsed()
+counters = recorder.counters
+print(json.dumps({
+    "num_cells": netlist.num_cells,
+    "wall_seconds": wall,
+    "global_seconds": result.stage_seconds.get("global", 0.0),
+    "objective": float(result.objective),
+    "peak_rss_bytes": peak_rss_bytes(),
+    "tasks": counters.get("parallel/tasks", 0.0),
+    "dispatch_bytes": counters.get("parallel/dispatch_bytes", 0.0),
+    "dense_task_bytes": counters.get("parallel/dense_task_bytes", 0.0),
+}))
+"""
+
+
+def _place_in_subprocess(circuit: str, scale: float, workers: int = 0,
+                         reduced: bool = False) -> dict:
+    """Run :data:`_PLACE_PROBE` in a child interpreter; its JSON line."""
+    import subprocess
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _PLACE_PROBE, circuit, repr(scale),
+         str(workers), "1" if reduced else "0"],
+        capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 #: subprocess probe: parse a Bookshelf circuit in a *fresh*
 #: interpreter so its peak RSS is the parse's own footprint, not this
@@ -338,51 +382,28 @@ def bench_large_instances(workers: int = 2) -> dict:
     """Full-size instance rows: wall, peak RSS, dispatch bytes.
 
     Each row places one :data:`LARGE_ROWS` instance at ``workers``
-    execution-backend workers with a live recorder, so the row gates
-    the three axes that matter at true scale — wall seconds, the
-    process RSS high-water after the row (rows run smallest-first, so
-    the monotone statistic tracks each row), and the zero-copy
-    dispatch payload bytes.  The reduced (global-only) synthetic row
-    exercises the same parallel dispatch path at 4x ibm01's size.
+    execution-backend workers with a live recorder, in its own child
+    interpreter, so the row gates the three axes that matter at true
+    scale — wall seconds, that placement's own peak RSS, and the
+    zero-copy dispatch payload bytes.  The reduced (global-only)
+    synthetic row exercises the same parallel dispatch path at 4x
+    ibm01's size.
     """
-    from repro.core.pipeline import (PipelineSpec, StageEntry,
-                                     default_pipeline_spec)
-
     rows: Dict[str, dict] = {}
-    watch = Stopwatch()
     for circuit, scale, reduced in LARGE_ROWS:
-        netlist = load_benchmark(circuit, scale=scale, seed=0)
-        config = PlacementConfig(num_workers=workers)
-        spec = (PipelineSpec(entries=(StageEntry("global"),))
-                if reduced else default_pipeline_spec(config))
-        recorder = Recorder()
-        watch.restart()
-        result = Placer3D(netlist, config, recorder=recorder,
-                          spec=spec).run()
-        wall = watch.elapsed()
-        counters = recorder.counters
-        tasks = counters.get("parallel/tasks", 0.0)
-        dispatch = counters.get("parallel/dispatch_bytes", 0.0)
-        dense = counters.get("parallel/dense_task_bytes", 0.0)
+        row = _place_in_subprocess(circuit, scale, workers, reduced)
+        tasks = row["tasks"]
+        dispatch = row["dispatch_bytes"]
         label = (circuit if abs(scale - 1.0) < 1e-12
                  else f"{circuit}@{scale:g}")
-        rows[label] = {
-            "circuit": circuit,
-            "scale": scale,
-            "num_cells": netlist.num_cells,
-            "pipeline": "global-only" if reduced else "default",
-            "wall_seconds": wall,
-            "global_seconds": result.stage_seconds.get("global", 0.0),
-            "objective": float(result.objective),
-            "peak_rss_bytes": peak_rss_bytes(),
-            "tasks": int(tasks),
-            "dispatch_bytes": dispatch,
-            "dense_task_bytes": dense,
-            "dispatch_bytes_per_task":
-                dispatch / tasks if tasks else None,
-            "dispatch_reduction_vs_pickled":
-                dense / dispatch if dispatch else None,
-        }
+        rows[label] = dict(
+            row, circuit=circuit, scale=scale,
+            pipeline="global-only" if reduced else "default",
+            tasks=int(tasks),
+            dispatch_bytes_per_task=dispatch / tasks if tasks else None,
+            dispatch_reduction_vs_pickled=(
+                row["dense_task_bytes"] / dispatch if dispatch
+                else None))
     return {
         "workers": workers,
         "available_cpus": os.cpu_count(),
@@ -648,6 +669,13 @@ def merge(before: dict, after: dict) -> dict:
         speedup["solve_powers_repeat"] = (
             before["solve_powers"]["repeat_seconds"]
             / after["solve_powers"]["repeat_seconds"])
+    before_rows = before.get("large_instances", {}).get("rows", {})
+    after_rows = after.get("large_instances", {}).get("rows", {})
+    rss = {label: before_rows[label]["peak_rss_bytes"]
+           / after_rows[label]["peak_rss_bytes"]
+           for label in after_rows if label in before_rows}
+    if rss:
+        speedup["large_peak_rss"] = rss
     if "service_cache" in after:
         # self-contained comparison: resubmitting an already-placed
         # job through the service vs placing it cold

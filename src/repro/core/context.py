@@ -39,14 +39,16 @@ def auto_chip(netlist: Netlist, config: PlacementConfig) -> ChipGeometry:
     """Size the placement volume from cell area and the config knobs.
 
     The single source of the sizing policy previously duplicated by
-    ``Placer3D`` and the baseline placers.
+    ``Placer3D`` and the baseline placers.  Rows are at least 24 average
+    cells long and never shorter than the widest movable cell.
     """
+    widest = max((c.width for c in netlist.cells if c.movable), default=0.0)
     return ChipGeometry.for_cell_area(
         netlist.total_cell_area, config.num_layers,
         netlist.average_cell_height,
         whitespace=config.tech.whitespace,
         inter_row_space=config.tech.inter_row_space,
-        min_row_width=24.0 * netlist.average_cell_width,
+        min_row_width=max(24.0 * netlist.average_cell_width, widest),
         layer_thickness=config.tech.layer_thickness,
         interlayer_thickness=config.tech.interlayer_thickness,
         substrate_thickness=config.tech.substrate_thickness)

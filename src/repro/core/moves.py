@@ -29,6 +29,68 @@ from repro.core.objective import ObjectiveState
 from repro.geometry.density import BinIndex, DensityMesh
 from repro.obs import get_recorder
 
+#: Pending move + swap candidates at which phase 1 of a pass scores its
+#: block.  The batched scorers allocate per (candidate, incident pin),
+#: so this bounds a pass's peak memory independently of design size.
+BLOCK_CANDIDATES = 8192
+
+#: A cell's best phase-1 candidate: ``(cur_bin, target_bin, partner,
+#: landing)`` — a swap with ``partner``, or a move to ``landing``
+#: ``(x, y, z)`` when ``partner`` is None.
+_Best = Tuple[BinIndex, BinIndex, Optional[int],
+              Optional[Tuple[float, float, int]]]
+
+
+class _CandidateBlock:
+    """Phase-1 candidates of a run of whole cells, pending one score."""
+
+    def __init__(self) -> None:
+        #: ``(cid, cur_bin, [(kind, index), ...])`` per cell with
+        #: candidates; kind 0 indexes the move lists, 1 the swap lists
+        self.cells: List[Tuple[int, BinIndex, List[Tuple[int, int]]]] = []
+        self.mv_cells: List[int] = []
+        self.mv_xs: List[float] = []
+        self.mv_ys: List[float] = []
+        self.mv_zs: List[int] = []
+        self.mv_bins: List[BinIndex] = []
+        self.sw_a: List[int] = []
+        self.sw_b: List[int] = []
+        self.sw_bins: List[BinIndex] = []
+
+    def __len__(self) -> int:
+        return len(self.mv_cells) + len(self.sw_a)
+
+    def score_into(self, obj: ObjectiveState,
+                   best_of: Dict[int, _Best]) -> int:
+        """Score the block, record each cell's best strictly improving
+        candidate in ``best_of``, and return how many candidates were
+        scored."""
+        n = len(self)
+        if not n:
+            return 0
+        move_deltas = obj.eval_moves_batch(
+            self.mv_cells, self.mv_xs, self.mv_ys, self.mv_zs).tolist()
+        swap_deltas = obj.eval_swaps_batch(self.sw_a, self.sw_b).tolist()
+        for cid, cur_bin, entries in self.cells:
+            best: Optional[Tuple[int, int]] = None
+            best_delta = -1e-18  # strictly improving only
+            for kind, k in entries:  # generation order: first min wins
+                delta = move_deltas[k] if kind == 0 else swap_deltas[k]
+                if delta < best_delta:
+                    best_delta = delta
+                    best = (kind, k)
+            if best is None:
+                continue
+            kind, k = best
+            if kind == 0:
+                best_of[cid] = (cur_bin, self.mv_bins[k], None,
+                                (self.mv_xs[k], self.mv_ys[k],
+                                 self.mv_zs[k]))
+            else:
+                best_of[cid] = (cur_bin, self.sw_bins[k], self.sw_b[k],
+                                None)
+        return n
+
 
 class MoveOptimizer:
     """Greedy move/swap passes over a coarse density mesh.
@@ -120,15 +182,19 @@ class MoveOptimizer:
     def _pass(self, local_only: bool, radius: int) -> int:
         """One move/swap pass in two phases.
 
-        Phase 1 generates every cell's candidates against a snapshot of
-        the entering state and scores them in one batched move call and
-        one batched swap call.  Phase 2 walks the cells in permutation
-        order and greedily applies each cell's best candidate: while the
-        cell's (and a swap partner's) incident nets are untouched the
-        cached delta is exact and is used as-is; once the neighbourhood
-        has been dirtied by earlier applies, the chosen candidate is
-        re-checked with a scalar evaluation before committing.  Cells
-        displaced mid-pass by a swap partner fall back to the sequential
+        Phase 1 walks the cells in permutation order, generates each
+        cell's candidates against a snapshot of the entering state, and
+        scores them in blocks of about :data:`BLOCK_CANDIDATES` (one
+        batched move call and one batched swap call per block, never
+        splitting a cell's candidates); each cell keeps only its best
+        strictly improving candidate, so peak memory is bounded by the
+        block, not the pass.  Phase 2 walks the same order and greedily
+        applies each cell's best candidate: while the cell's (and a
+        swap partner's) incident nets are untouched the cached delta is
+        exact and is used as-is; once the neighbourhood has been
+        dirtied by earlier applies, the candidate is re-checked with a
+        scalar evaluation before committing.  Cells displaced mid-pass
+        by a swap partner fall back to the sequential
         :meth:`_best_action` scan from their new position.
         """
         self._rebuild_mesh()
@@ -137,17 +203,10 @@ class MoveOptimizer:
         mesh = self.mesh
         order = [int(c) for c in self._rng.permutation(self._movable)]
 
-        # ---- phase 1: candidate generation + two giant batch scores --
-        cur_bin_of: Dict[int, BinIndex] = {}
-        per_cell: Dict[int, List[Tuple[int, int]]] = {}
-        mv_xs: List[float] = []
-        mv_ys: List[float] = []
-        mv_zs: List[int] = []
-        mv_bins: List[BinIndex] = []
-        mv_cells: List[int] = []
-        sw_a: List[int] = []
-        sw_b: List[int] = []
-        sw_bins: List[BinIndex] = []
+        # ---- phase 1: candidate generation + blocked batch scores ----
+        best_of: Dict[int, _Best] = {}
+        block = _CandidateBlock()
+        n_cand = 0
         centers: Optional[Dict[int, Tuple[float, float, float]]] = None
         if not local_only:
             orc = obj.optimal_region_centers(order)
@@ -157,17 +216,14 @@ class MoveOptimizer:
             cur_bin = mesh.bin_of(float(placement.x[cid]),
                                   float(placement.y[cid]),
                                   int(placement.z[cid]))
-            cur_bin_of[cid] = cur_bin
             targets = self._targets(
                 cid, cur_bin, local_only, radius,
                 centers[cid] if centers is not None else None)
-            entries = self._collect_candidates(
-                cid, cur_bin, targets, mv_cells, mv_xs, mv_ys, mv_zs,
-                mv_bins, sw_a, sw_b, sw_bins)
-            if entries:
-                per_cell[cid] = entries
-        move_deltas = obj.eval_moves_batch(mv_cells, mv_xs, mv_ys, mv_zs)
-        swap_deltas = obj.eval_swaps_batch(sw_a, sw_b)
+            self._collect_candidates(cid, cur_bin, targets, block)
+            if len(block) >= BLOCK_CANDIDATES:
+                n_cand += block.score_into(obj, best_of)
+                block = _CandidateBlock()
+        n_cand += block.score_into(obj, best_of)
 
         # ---- phase 2: greedy apply with staleness tracking -----------
         executed = 0
@@ -194,38 +250,24 @@ class MoveOptimizer:
                         moved_since.add(partner)
                         dirty.update(cell_nets(partner))
                 continue
-            entries = per_cell.get(cid)
-            if not entries:
-                continue
-            best: Optional[Tuple[int, int]] = None
-            best_delta = -1e-18  # strictly improving only
-            for kind, k in entries:  # already in generation (seq) order
-                delta = (move_deltas[k] if kind == 0 else swap_deltas[k])
-                if delta < best_delta:
-                    best_delta = delta
-                    best = (kind, k)
+            best = best_of.get(cid)
             if best is None:
                 continue
-            kind, k = best
+            cur_bin, t, other, landing = best
             stale = not dirty.isdisjoint(cell_nets(cid))
             area = float(areas[cid])
-            if kind == 0:
-                t = mv_bins[k]
+            if other is None:
                 # the bin may have filled up since the snapshot
                 if mesh.area_in(t) + area > limit:
                     continue
-                mv = [(cid, mv_xs[k], mv_ys[k], mv_zs[k])]
-                partner = None
+                mv = [(cid,) + landing]
             else:
-                other = sw_b[k]
                 if other in moved_since:
                     continue
-                t = sw_bins[k]
                 other_area = float(areas[other])
                 if mesh.area_in(t) - other_area + area > limit:
                     continue
-                if (mesh.area_in(cur_bin_of[cid]) - area + other_area
-                        > limit):
+                if mesh.area_in(cur_bin) - area + other_area > limit:
                     continue
                 stale = stale or not dirty.isdisjoint(cell_nets(other))
                 mv = [(cid, float(placement.x[other]),
@@ -234,20 +276,18 @@ class MoveOptimizer:
                       (other, float(placement.x[cid]),
                        float(placement.y[cid]),
                        int(placement.z[cid]))]
-                partner = other
             if stale and obj.eval_moves(mv) >= -1e-18:
                 continue
             obj.apply_moves(mv)
-            self._update_mesh(cid, cur_bin_of[cid], t, partner)
+            self._update_mesh(cid, cur_bin, t, other)
             executed += 1
             moved_since.add(cid)
             dirty.update(cell_nets(cid))
-            if partner is not None:
-                moved_since.add(partner)
-                dirty.update(cell_nets(partner))
+            if other is not None:
+                moved_since.add(other)
+                dirty.update(cell_nets(other))
         rec = get_recorder()
         if rec.enabled:
-            n_cand = len(mv_cells) + len(sw_a)
             rec.count("moves/candidates", float(n_cand))
             rec.count("moves/executed", float(executed))
             rec.record("moves/pass",
@@ -260,14 +300,9 @@ class MoveOptimizer:
 
     def _collect_candidates(self, cid: int, cur_bin: BinIndex,
                             targets: List[BinIndex],
-                            mv_cells: List[int], mv_xs: List[float],
-                            mv_ys: List[float], mv_zs: List[int],
-                            mv_bins: List[BinIndex], sw_a: List[int],
-                            sw_b: List[int], sw_bins: List[BinIndex]
-                            ) -> List[Tuple[int, int]]:
-        """Append one cell's move/swap candidates to the shared batch
-        lists; returns ``(kind, index)`` entries in generation order
-        (kind 0 = move, 1 = swap)."""
+                            block: _CandidateBlock) -> None:
+        """Append one cell's move/swap candidates to ``block`` in
+        generation order."""
         mesh = self.mesh
         areas = self._areas
         area = float(areas[cid])
@@ -288,12 +323,12 @@ class MoveOptimizer:
             tz = t[2]
             area_t = float(bin_area[t])
             if area_t + area <= limit:
-                entries.append((0, len(mv_cells)))
-                mv_cells.append(cid)
-                mv_xs.append(tx)
-                mv_ys.append(ty)
-                mv_zs.append(tz)
-                mv_bins.append(t)
+                entries.append((0, len(block.mv_cells)))
+                block.mv_cells.append(cid)
+                block.mv_xs.append(tx)
+                block.mv_ys.append(ty)
+                block.mv_zs.append(tz)
+                block.mv_bins.append(t)
             members = bin_members.get(t)
             if not members:
                 continue
@@ -309,11 +344,12 @@ class MoveOptimizer:
                     continue
                 if cur_area - area + other_area > limit:
                     continue
-                entries.append((1, len(sw_a)))
-                sw_a.append(cid)
-                sw_b.append(other)
-                sw_bins.append(t)
-        return entries
+                entries.append((1, len(block.sw_a)))
+                block.sw_a.append(cid)
+                block.sw_b.append(other)
+                block.sw_bins.append(t)
+        if entries:
+            block.cells.append((cid, cur_bin, entries))
 
     # ------------------------------------------------------------------
     def _best_action(self, cid: int, cur_bin: BinIndex,

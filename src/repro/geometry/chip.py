@@ -213,6 +213,9 @@ class ChipGeometry:
                 handful of cells long, where the whitespace per row is
                 less than one cell width and legalization has no room to
                 manoeuvre — an artefact full-size circuits do not have.
+                A design too small to fill even one such row gets a
+                single row of exactly this length (more whitespace than
+                requested), so callers pass at least the widest cell.
 
         Returns:
             A :class:`ChipGeometry` whose rows can legally hold the cells.
@@ -241,7 +244,7 @@ class ChipGeometry:
                                   / (n_rows * row_pitch)) < min_row_width:
                 n_rows -= 1
         height = n_rows * row_pitch
-        width = die_area_per_layer / height
+        width = max(die_area_per_layer / height, min_row_width)
         return ChipGeometry(
             width=width, height=height, num_layers=num_layers,
             row_height=row_height, row_pitch=row_pitch,

@@ -229,6 +229,21 @@ class TestPlaceStore:
         assert code == 0
         assert "123 cells, 0 nets" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("layers", ["1", "4"])
+    def test_three_cell_bookshelf_places(self, capsys, tmp_path, layers):
+        prefix = str(tmp_path / "tiny")
+        with open(prefix + ".nodes", "w") as fh:
+            fh.write("UCLA nodes 1.0\nNumNodes : 3\nNumTerminals : 0\n"
+                     "a 4 1\nb 4 1\nc 4 1\n")
+        with open(prefix + ".nets", "w") as fh:
+            fh.write("UCLA nets 1.0\nNumNets : 1\nNumPins : 3\n"
+                     "NetDegree : 3 n0\na O\nb I\nc I\n")
+        code = main(["place", "--bookshelf", prefix, "--layers", layers,
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "3 cells, 1 nets" in capsys.readouterr().out
+        assert (tmp_path / "out.pl").exists()
+
 
 class TestSweepCommand:
     def test_sweep_prints_curve(self, capsys):

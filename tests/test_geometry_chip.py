@@ -137,6 +137,26 @@ class TestForCellArea:
         assert wide.width >= 50e-6 * (1 - 1e-9)
         assert wide.width > narrow.width
 
+    def test_design_below_one_row_keeps_min_row_width(self):
+        # three 4 um x 1 um cells: one row at full pitch already holds
+        # the area, which used to shrink the die to ~3.2 um, below the
+        # width of a single cell
+        chip = ChipGeometry.for_cell_area(3 * 4e-12, 4, 1e-6,
+                                          min_row_width=96e-6)
+        assert chip.rows_per_layer == 1
+        assert chip.width == 96e-6
+        wider = ChipGeometry.for_cell_area(3 * 4e-12, 4, 1e-6,
+                                           min_row_width=4e-6)
+        assert wider.width == 4e-6
+
+    def test_min_row_width_unchanged_when_rows_are_long(self):
+        area = 1000 * 5e-12
+        chip = ChipGeometry.for_cell_area(area, 4, 2e-6,
+                                          min_row_width=50e-6)
+        assert chip.rows_per_layer > 1
+        assert chip.width * chip.height == pytest.approx(
+            area / 4 / 0.95 * 1.25)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             ChipGeometry.for_cell_area(-1.0, 4, 2e-6)
