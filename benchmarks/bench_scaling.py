@@ -44,6 +44,11 @@ bound on any measured speedup.  The rows carry the zero-copy dispatch
 instrumentation (payload bytes per task vs the dense pickled-task
 baseline) and gate the >= 10x reduction.
 
+``--synthetic-ladder`` adds the bisection scaling row: the global
+stage alone, serially, on ``synthetic`` 2.5k, 5k, 10k and 20k cells,
+each in a fresh interpreter, with the fitted exponent of global
+seconds against cells and the machine's ``available_cpus``.
+
 ``--large`` adds the true-scale section: ibm01 at scale 0.25, 0.5
 and 1.0 through the default pipeline and a 50k-cell synthetic
 instance through the global (dispatch-heavy) stage, each recording
@@ -312,6 +317,41 @@ def _place_in_subprocess(circuit: str, scale: float, workers: int = 0,
         capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
+#: serial global-only synthetic ladder, in cells: the FM bisection
+#: scaling row (the global stage is almost all of such a run)
+SYNTHETIC_LADDER = [2500, 5000, 10000, 20000]
+
+
+def bench_synthetic_ladder() -> dict:
+    """Serial global-only seconds per :data:`SYNTHETIC_LADDER` rung,
+    plus the fitted scaling exponent.
+
+    Each rung places in its own child interpreter at one worker, so the
+    row times the bisection engine alone, with no dispatch.
+    ``fitted_exponent`` is the least-squares slope of log global
+    seconds on log cells over all rungs; ``local_exponents`` give the
+    slope between neighbouring rungs.
+    """
+    rows: Dict[str, dict] = {}
+    for cells in SYNTHETIC_LADDER:
+        row = _place_in_subprocess(f"synthetic{cells}", 1.0, workers=1,
+                                   reduced=True)
+        rows[str(cells)] = {key: row[key] for key in (
+            "num_cells", "wall_seconds", "global_seconds", "objective",
+            "peak_rss_bytes")}
+    counts = [row["num_cells"] for row in rows.values()]
+    seconds = [row["global_seconds"] for row in rows.values()]
+    local = {}
+    for i in range(1, len(counts)):
+        local[f"{counts[i - 1]}-{counts[i]}"] = float(
+            np.log(seconds[i] / seconds[i - 1])
+            / np.log(counts[i] / counts[i - 1]))
+    fitted = float(np.polyfit(np.log(counts), np.log(seconds), 1)[0])
+    return {"workers": 1, "available_cpus": os.cpu_count(),
+            "pipeline": "global-only", "rows": rows,
+            "fitted_exponent": fitted, "local_exponents": local}
+
+
 #: subprocess probe: parse a Bookshelf circuit in a *fresh*
 #: interpreter so its peak RSS is the parse's own footprint, not this
 #: process's accumulated high-water.  Prints one JSON line.
@@ -570,7 +610,8 @@ def bench_service_cache(scale: float = 0.05) -> dict:
 
 
 def run_bench(scales: Optional[List[float]] = None,
-              workers: bool = False, large: bool = False) -> dict:
+              workers: bool = False, large: bool = False,
+              synthetic_ladder: bool = False) -> dict:
     writer = SeriesWriter("bench_scaling")
     measurement = {
         "circuit": CIRCUIT,
@@ -584,6 +625,8 @@ def run_bench(scales: Optional[List[float]] = None,
         measurement["workers_scaling"] = bench_workers()
     if large:
         measurement["large_instances"] = bench_large_instances()
+    if synthetic_ladder:
+        measurement["synthetic_ladder"] = bench_synthetic_ladder()
     writer.row(f"{'scale':>7} {'cells':>7} {'wall (s)':>9} "
                f"{'tele %':>7} {'prof %':>7}  stages")
     for scale, entry in measurement["placement"].items():
@@ -648,6 +691,16 @@ def run_bench(scales: Optional[List[float]] = None,
             f"{bs['streaming']['peak_rss_bytes'] / 1e6:.0f} MB rss, "
             f"buffered {bs['buffered']['parse_seconds']:.3f} s / "
             f"{bs['buffered']['peak_rss_bytes'] / 1e6:.0f} MB rss")
+    if synthetic_ladder:
+        sl = measurement["synthetic_ladder"]
+        for label, row in sl["rows"].items():
+            writer.row(f"synthetic{label} (global-only, 1 worker): "
+                       f"global {row['global_seconds']:.2f} s")
+        local = ", ".join(f"{k} {v:.2f}"
+                          for k, v in sl["local_exponents"].items())
+        writer.row(f"fitted exponent {sl['fitted_exponent']:.2f} "
+                   f"(local: {local}) on {sl['available_cpus']} "
+                   f"available cpu(s)")
     writer.save()
     return measurement
 
@@ -676,6 +729,13 @@ def merge(before: dict, after: dict) -> dict:
            for label in after_rows if label in before_rows}
     if rss:
         speedup["large_peak_rss"] = rss
+    before_ladder = before.get("synthetic_ladder", {}).get("rows", {})
+    after_ladder = after.get("synthetic_ladder", {}).get("rows", {})
+    ladder = {label: before_ladder[label]["global_seconds"]
+              / after_ladder[label]["global_seconds"]
+              for label in after_ladder if label in before_ladder}
+    if ladder:
+        speedup["synthetic_ladder_global"] = ladder
     if "service_cache" in after:
         # self-contained comparison: resubmitting an already-placed
         # job through the service vs placing it cold
@@ -742,6 +802,11 @@ def main() -> None:
                              "(ibm01 at scale 0.5/1.0, synthetic50k "
                              "global-only) and the streaming-parse "
                              "RSS probe; takes several minutes")
+    parser.add_argument("--synthetic-ladder", action="store_true",
+                        help="also time the global stage alone, "
+                             "serially, on synthetic 2.5k/5k/10k/20k "
+                             "and fit its scaling exponent; takes a "
+                             "few minutes")
     parser.add_argument("--check-overhead", type=float, metavar="PCT",
                         help="exit nonzero when telemetry overhead at "
                              "any scale exceeds this budget (negative "
@@ -759,7 +824,8 @@ def main() -> None:
         with open(args.baseline) as fh:
             baseline = json.load(fh)
     measurement = run_bench(args.scales, workers=args.workers,
-                            large=args.large)
+                            large=args.large,
+                            synthetic_ladder=args.synthetic_ladder)
     document = measurement
     if baseline is not None:
         document = merge(baseline, measurement)

@@ -386,9 +386,13 @@ def _cmd_place(args) -> int:
                 bookshelf_key(args.bookshelf),
                 lambda: bookshelf.read_bookshelf_streaming(
                     args.bookshelf))
+        if netlist.num_movable == 0:
+            # nothing to place, and no cell to size the chip from
+            raise ValueError(f"{netlist.name} has no movable cells")
     except (KeyError, ValueError, OSError) as exc:
         # an unknown circuit name, a scale the generator refuses, a
-        # refused config value, or a missing or malformed Bookshelf file
+        # refused config value, a missing or malformed Bookshelf file,
+        # or a design with no movable cell
         return _input_error("place", exc)
     print(f"placing {netlist.name}: {netlist.num_cells} cells, "
           f"{netlist.num_nets} nets, {args.layers} layers")

@@ -188,18 +188,22 @@ class GlobalPlacer:
                 frontier = []
                 if not pending:
                     break
-                with rec.span(f"level{level}/bisect"):
-                    tasks = [self._build_task(region)
-                             for region in pending]
-                    results = self._dispatch(tasks, backend, pool, rec)
-                    for region, (parts, telemetry) in zip(pending,
-                                                          results):
-                        rec.merge(telemetry)
-                        rec.count("global/bisections")
-                        for child in self._apply_parts(region, parts):
-                            if child.cell_ids:
-                                self._set_positions(child)
-                                frontier.append(child)
+                with rec.span(f"level{level}"):
+                    with rec.span("build"):
+                        tasks = [self._build_task(region)
+                                 for region in pending]
+                    with rec.span("solve"):
+                        results = self._dispatch(tasks, backend, pool,
+                                                 rec)
+                        for region, (parts, telemetry) in zip(pending,
+                                                              results):
+                            rec.merge(telemetry)
+                            rec.count("global/bisections")
+                            for child in self._apply_parts(region,
+                                                           parts):
+                                if child.cell_ids:
+                                    self._set_positions(child)
+                                    frontier.append(child)
                 level += 1
         finally:
             if pool is not None:

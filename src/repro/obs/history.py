@@ -69,10 +69,10 @@ def _flatten_metrics(measurement: Mapping[str, Any]) -> Dict[str, float]:
 
     Understands the ``BENCH_scaling.json`` measurement shape
     (``placement`` per-scale entries, ``rebuild``, ``solve_powers``,
-    ``thermal_fidelity``, ``service_cache``, ``large_instances``
-    per-row entries); unknown top-level numeric fields are kept
-    under their own name so future bench sections ride along without a
-    schema change here.
+    ``thermal_fidelity``, ``service_cache``, ``large_instances`` and
+    ``synthetic_ladder`` per-row entries); unknown top-level numeric
+    fields are kept under their own name so future bench sections ride
+    along without a schema change here.
     """
     metrics: Dict[str, float] = {}
     placement = measurement.get("placement")
@@ -133,10 +133,19 @@ def _flatten_metrics(measurement: Mapping[str, Any]) -> Dict[str, float]:
                 if isinstance(value, (int, float)) \
                         and not isinstance(value, bool):
                     metrics[f"large/bookshelf_{key}"] = float(value)
+    ladder = measurement.get("synthetic_ladder")
+    if isinstance(ladder, Mapping) \
+            and isinstance(ladder.get("rows"), Mapping):
+        for label, row in sorted(ladder["rows"].items()):
+            value = row.get("global_seconds") \
+                if isinstance(row, Mapping) else None
+            if isinstance(value, (int, float)) \
+                    and not isinstance(value, bool):
+                metrics[f"synthetic/global_seconds/{label}"] = float(value)
     for key, value in measurement.items():
         if key in ("placement", "rebuild", "solve_powers",
                    "thermal_fidelity", "service_cache",
-                   "large_instances"):
+                   "large_instances", "synthetic_ladder"):
             continue
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             metrics[key] = float(value)

@@ -183,7 +183,7 @@ class Recorder:
 
         - **spans**: the snapshot's tree is merged under the currently
           *open* span (calls and seconds add at matching paths), so a
-          caller holding a ``level3/bisect`` span open files worker
+          caller holding a ``level3/solve`` span open files worker
           spans beneath it;
         - **counters**: added — totals are distribution-independent;
         - **gauges**: last write wins, matching in-process behaviour —

@@ -1,14 +1,17 @@
 """Hierarchical tracing spans with wall time and call aggregation.
 
 A :class:`Tracer` maintains a tree of :class:`SpanStats` nodes.  Span
-names may contain ``/`` separators — ``span("global/level3/bisect")``
+names may contain ``/`` separators — ``span("global/level3/solve")``
 opens three nested nodes at once, so call sites can express their
 position in the taxonomy without threading parent handles around.
+Only the last segment is timed: the nodes it opens on the way record
+no calls and no seconds of their own, so a node that should report its
+own time is opened as a span of its own.
 
 Repeated spans with the same path aggregate: ``seconds`` accumulates
 wall time and ``calls`` counts completions, which is what per-stage
-reporting wants (e.g. one ``level3/bisect`` node covering all eight
-bisections at level 3).
+reporting wants (e.g. one ``weights`` node covering every per-level
+net-weight refresh of a global placement).
 
 The clock is injectable so tests can drive deterministic timings; the
 default is :func:`time.perf_counter`.  This module is the only place in
@@ -30,7 +33,7 @@ class SpanStats:
     """One node of the span tree.
 
     Attributes:
-        name: the last path segment (``bisect`` in ``level3/bisect``).
+        name: the last path segment (``solve`` in ``level3/solve``).
         calls: completed spans that ended exactly at this node.
         seconds: wall time measured for spans ending at this node.
             Child time is a subset of the parent's measured time, not

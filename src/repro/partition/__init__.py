@@ -7,7 +7,8 @@ functionality from scratch:
 - :class:`~repro.partition.hypergraph.Hypergraph` — weighted hypergraphs
   with fixed (terminal-propagated) vertices and contraction;
 - :mod:`~repro.partition.fm` — Fiduccia–Mattheyses refinement with
-  float net weights, balance tolerance and a lazy-deletion heap;
+  float net weights, balance tolerance, lazy-deletion heaps per side
+  and weight class, and an early pass exit;
 - :mod:`~repro.partition.multilevel` — heavy-edge coarsening, portfolio
   initial partitioning and V-cycle refinement;
 - :mod:`~repro.partition.subproblem` — picklable

@@ -2,20 +2,36 @@
 
 Classic FM keeps one integer gain-bucket array per side; the placer's net
 weights are real numbers (thermal net weights, Eq. 8 of the paper), so
-this implementation keeps each side's move candidates in a lazy-deletion
-binary heap instead.  Gains are maintained incrementally with the
-standard FM critical-net update rules, so each move costs O(pins on
-critical nets), not O(neighbourhood size).
+this implementation keeps the move candidates in lazy-deletion binary
+heaps instead.  Gains are maintained incrementally with the standard FM
+critical-net update rules, so each move costs O(pins on critical nets),
+not O(neighbourhood size).
 
 Each pass moves vertices one at a time (always the best *legal* move
 over both sides), locks them, and finally rolls back to the best prefix
-seen — exactly the FM schedule, with a balance window
+seen — the FM schedule, with a balance window
 ``[target - tol, target + tol]`` on part 0's share of the free vertex
-weight.  The lightest and heaviest free vertex weights bound every
-move's effect on the balance, so a side none of whose moves could be
-legal is skipped whole, without touching its heap.  Inside a reachable
-side, an entry that is still illegal (coarse graphs mix vertex weights)
-is set aside and re-queued on its own side after the next applied move.
+weight.
+
+**Weight classes.**  Coarse graphs mix vertex weights, so whether a move
+is legal depends on the vertex.  Each side's candidates are split over
+up to :data:`WEIGHT_CLASSES` heaps by vertex weight: the distinct free
+weights, sorted, are cut into quantile runs, and each class keeps its
+lightest and heaviest weight.  Those two bound every move's effect on
+the balance, so a class none of whose moves could be legal is skipped
+whole, without touching its heap.  The heads of the other classes are
+merged in the total order of the heap entries, and a class is not
+scanned past a head already worse than the best legal head found, so
+the move applied is exactly the one a single heap would give.  Inside a
+reachable class, an entry that is still illegal is set aside and
+re-queued after the next applied move.
+
+**Early exit.**  Most tentative moves of a pass are rolled back, and
+most of those come long after the best prefix.  A pass therefore stops
+after :data:`EXIT_AFTER` consecutive moves that do not improve its best
+prefix, as hMetis's FM does.  Only a pass whose best prefix would have
+improved later than that ends differently; the random tie-break draw is
+made at the start of every pass, so the generator stream is unchanged.
 
 The move loop deliberately uses plain Python lists: the hypergraphs have
 tiny nets, where list indexing beats NumPy scalar access several-fold,
@@ -42,6 +58,16 @@ from repro.partition.hypergraph import FREE, Hypergraph
 #: two entries share vertex and stamp), so the move sequence does not
 #: depend on how the entries are spread over heaps.
 Entry = Tuple[float, float, int, int]
+
+#: Heaps per side: free vertices are grouped by weight into this many
+#: classes (quantiles of the distinct free weights), so a move the
+#: balance window forbids is skipped by class instead of popped.
+WEIGHT_CLASSES = 4
+
+#: A pass stops after this many consecutive tentative moves that do
+#: not improve its best prefix (the classic FM early exit); the moves
+#: after the best prefix are rolled back as before.
+EXIT_AFTER = 200
 
 #: Below this many total pins the scalar setup path is used: NumPy's
 #: per-call overhead beats the loop only once there is real data.
@@ -104,23 +130,31 @@ class FMRefiner:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         free_w = graph.free_weight
         half = tolerance * free_w
-        # The window must leave room to move the heaviest free vertex out
-        # of a perfectly balanced state, or FM deadlocks immediately.
         movable = graph.fixed == FREE
-        # lightest and heaviest free weight: bounds on every move's
-        # balance shift, which let a pass skip a blocked side whole
-        self._wmin = self._wmax = 0.0
-        if movable.any():
-            self._wmin = float(graph.vertex_weights[movable].min())
-            self._wmax = float(graph.vertex_weights[movable].max())
-            half = max(half, self._wmax)
-        self.lo = target * free_w - half
-        self.hi = target * free_w + half
+        # weight classes: the distinct free weights, sorted, cut into up
+        # to WEIGHT_CLASSES quantile runs; a class's lightest and
+        # heaviest weight bound its moves' balance shift.  (Most
+        # refiners serve small coarse graphs, where a set beats
+        # np.unique.)  Only free vertices' classes are read.
+        distinct = sorted(set(graph.vertex_weights[movable].tolist()))
+        k = min(WEIGHT_CLASSES, len(distinct))
+        cuts = [c * len(distinct) // k for c in range(k + 1)] if k else []
+        self._bounds: List[Tuple[float, float]] = [
+            (distinct[a], distinct[b - 1]) for a, b in zip(cuts, cuts[1:])]
+        self._cls: List[int] = np.searchsorted(
+            np.array([distinct[a] for a in cuts[1:-1]], dtype=np.float64),
+            graph.vertex_weights, side="right").tolist()
         # plain-list mirrors of the per-vertex arrays: the pass loop
         # indexes them millions of times, where list access beats NumPy
         # scalar access several-fold
         self._vw: List[float] = graph.vertex_weights.tolist()
-        self._free: List[bool] = (graph.fixed == FREE).tolist()
+        self._free: List[bool] = movable.tolist()
+        # The window must leave room to move the heaviest free vertex out
+        # of a perfectly balanced state, or FM deadlocks immediately.
+        if distinct:
+            half = max(half, distinct[-1])
+        self.lo = target * free_w - half
+        self.hi = target * free_w + half
 
     # ------------------------------------------------------------------
     @contract(shapes={"parts": ("v",)}, dtypes={"parts": np.integer})
@@ -177,21 +211,28 @@ class FMRefiner:
         vnets = g.vertex_nets_all()
         vw = self._vw
         free = self._free
-        wmin, wmax = self._wmin, self._wmax
+        num_classes = len(self._bounds)
 
         counts, gains, weight0 = self._pass_setup(side, free, vw)
 
         locked = [False] * n
         stamp = [0] * n
         noise = self.rng.random(n).tolist()
-        # one heap per side: an entry stays on the side it started the
-        # pass on, since a vertex is locked as soon as it moves
-        heaps: Tuple[List[Entry], List[Entry]] = ([], [])
+        # one heap per (side, weight class): an entry stays in the heap
+        # it started the pass in, since a vertex is locked as soon as it
+        # moves and its weight never changes
+        heaps: List[List[Entry]] = [[] for _ in range(2 * num_classes)]
+        home = [0] * n
+        cls = self._cls
         for v in range(n):
             if free[v]:
-                heaps[side[v]].append((-gains[v], noise[v], v, 0))
+                home[v] = h = side[v] * num_classes + cls[v]
+                heaps[h].append((-gains[v], noise[v], v, 0))
         for h in heaps:
             heapq.heapify(h)
+        classes = [(heaps[s * num_classes + c], s, cmin, cmax)
+                   for s in (0, 1) for c, (cmin, cmax)
+                   in enumerate(self._bounds)]
         heappop = heapq.heappop
         heappush = heapq.heappush
 
@@ -207,28 +248,35 @@ class FMRefiner:
         best_key = (viol0, 0.0)
         best_gain = 0.0
         best_prefix = 0
+        exit_after = EXIT_AFTER
         deferred: List[Entry] = []
 
         while True:
-            # The move applied is the minimum-key legal entry over both
-            # sides.  A move is legal if it lands in the balance window,
+            # The move applied is the minimum-key legal entry over all
+            # heaps.  A move is legal if it lands in the balance window,
             # or at least reduces an existing violation.  Rounding is
-            # monotone, so the lightest and heaviest free weights bound
-            # every reachable ``new_w0`` of a side: a side none of whose
-            # moves can be legal is skipped without popping anything.
+            # monotone, so a class's lightest and heaviest weights bound
+            # every reachable ``new_w0`` of its moves: a class none of
+            # whose moves can be legal is skipped without popping
+            # anything, and a class whose head is already worse than the
+            # best legal head found is not scanned further.
             item: Optional[Entry] = None
-            for s in (0, 1):
+            item_heap: List[Entry] = []
+            for h, s, cmin, cmax in classes:
+                if not h or (item is not None and h[0] > item):
+                    continue
                 if s == 0:
-                    n_lo, n_hi = weight0 - wmax, weight0 - wmin
+                    n_lo, n_hi = weight0 - cmax, weight0 - cmin
                 else:
-                    n_lo, n_hi = weight0 + wmin, weight0 + wmax
+                    n_lo, n_hi = weight0 + cmin, weight0 + cmax
                 if not ((n_hi >= lo and n_lo <= hi)
                         or (weight0 < lo and n_hi > weight0)
                         or (weight0 > hi and n_lo < weight0)):
                     continue
-                h = heaps[s]
                 while h:
                     top = h[0]
+                    if item is not None and top > item:
+                        break
                     v = top[2]
                     if locked[v] or top[3] != stamp[v]:
                         heappop(h)
@@ -237,8 +285,8 @@ class FMRefiner:
                     if (lo <= new_w0 <= hi
                             or (weight0 < lo and new_w0 > weight0)
                             or (weight0 > hi and new_w0 < weight0)):
-                        if item is None or top < item:
-                            item = top
+                        item = top
+                        item_heap = h
                         break
                     # Set aside until the balance changes (the next
                     # applied move re-queues it).  Every pop consumes a
@@ -248,10 +296,10 @@ class FMRefiner:
                 break
             neg_gain, _, v, _ = item
             frm = side[v]
-            heappop(heaps[frm])
+            heappop(item_heap)
             # deferred entries were checked fresh and unlocked this step
             for it in deferred:
-                heappush(heaps[side[it[2]]], it)
+                heappush(heaps[home[it[2]]], it)
             deferred.clear()
 
             # ---- apply the move with FM critical-net gain updates ----
@@ -299,12 +347,14 @@ class FMRefiner:
                 best_key = (viol, -cum_gain)
                 best_gain = cum_gain
                 best_prefix = len(moves)
+            elif len(moves) - best_prefix >= exit_after:
+                break
 
             for u, d in delta.items():
                 if d:
                     gains[u] += d
                     stamp[u] += 1
-                    heappush(heaps[side[u]],
+                    heappush(heaps[home[u]],
                              (-gains[u], noise[u], u, stamp[u]))
 
         # roll back to the best prefix

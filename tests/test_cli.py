@@ -68,6 +68,36 @@ class TestPlaceCommand:
         assert any(e["type"] == "span" and e["path"] == "place"
                    for e in events)
 
+    def test_manifest_spans_are_truthful(self, capsys, tmp_path,
+                                         monkeypatch):
+        import json
+        import re
+
+        from repro.core.globalplace import GlobalPlacer
+        dispatched = []
+        dispatch = GlobalPlacer._dispatch
+
+        def counting_dispatch(self, tasks, *args):
+            dispatched.append(len(tasks))
+            return dispatch(self, tasks, *args)
+
+        monkeypatch.setattr(GlobalPlacer, "_dispatch", counting_dispatch)
+        prefix = str(tmp_path / "run")
+        code = main(["-q", "place", "--circuit", "ibm01", "--scale",
+                     "0.02", "--layers", "2", "--telemetry-out", prefix])
+        assert code == 0
+        manifest = json.load(open(prefix + ".manifest.json"))
+        stages = {s["path"]: s for s in manifest["stages"]}
+        assert [p for p, s in stages.items() if s["calls"] == 0] == []
+        levels = [p for p in stages
+                  if re.fullmatch(r"place/global/level\d+", p)]
+        assert len(levels) == len(dispatched) > 1
+        for path in levels:
+            assert stages[path + "/build"]["calls"] == 1
+            assert stages[path + "/solve"]["calls"] == 1
+        assert (manifest["counters"]["global/bisections"]
+                == sum(dispatched))
+
     def test_place_with_profile(self, capsys, tmp_path, monkeypatch):
         import json
 
@@ -243,6 +273,27 @@ class TestPlaceStore:
         assert code == 0
         assert "3 cells, 1 nets" in capsys.readouterr().out
         assert (tmp_path / "out.pl").exists()
+
+    @pytest.mark.parametrize("nodes", [
+        "NumNodes : 2\nNumTerminals : 2\np0 1 1 terminal\n"
+        "p1 1 1 terminal\n",
+        "NumNodes : 0\nNumTerminals : 0\n"],
+        ids=["all-terminal", "no-nodes"])
+    def test_bookshelf_without_movable_cells_is_one_line_error(
+            self, capsys, tmp_path, nodes):
+        prefix = str(tmp_path / "nocells")
+        with open(prefix + ".nodes", "w") as fh:
+            fh.write("UCLA nodes 1.0\n" + nodes)
+        with open(prefix + ".nets", "w") as fh:
+            fh.write("UCLA nets 1.0\nNumNets : 0\nNumPins : 0\n")
+        code = main(["place", "--bookshelf", prefix,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("repro place: error: nocells has no "
+                                "movable cells\n")
+        assert "placing" not in captured.out
+        assert not (tmp_path / "out.pl").exists()
 
 
 class TestSweepCommand:

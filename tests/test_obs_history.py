@@ -60,6 +60,17 @@ class TestEntryFromMeasurement:
                                        recorded_unix=0.0)
         assert entry["metrics"]["wall_seconds/0.05"] == 1.0
 
+    def test_flattens_synthetic_ladder_rows(self):
+        ladder = {"synthetic_ladder": {
+            "fitted_exponent": 1.3, "rows": {
+                "2500": {"global_seconds": 4.5, "num_cells": 2500},
+                "5000": {"global_seconds": 9.0, "num_cells": 5000}}}}
+        entry = entry_from_measurement(ladder, label="x",
+                                       recorded_unix=0.0)
+        assert entry["metrics"] == {
+            "synthetic/global_seconds/2500": 4.5,
+            "synthetic/global_seconds/5000": 9.0}
+
     def test_unknown_numeric_top_level_rides_along(self):
         entry = entry_from_measurement({"new_bench_seconds": 3.5},
                                        label="x", recorded_unix=0.0)

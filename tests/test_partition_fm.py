@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.partition import fm
 from repro.partition.fm import FMRefiner, cut_cost
 from repro.partition.hypergraph import FREE, Hypergraph
 
@@ -117,14 +118,15 @@ class TestRefine:
 
 
 # ----------------------------------------------------------------------
-# oracle: the per-side heaps must replay the single-heap move order
+# oracle: the weight-class heaps must replay the single-heap move order
 # ----------------------------------------------------------------------
-def single_heap_pass(refiner: FMRefiner,
-                     side: List[int]) -> Tuple[float, int, int]:
+def single_heap_pass(refiner: FMRefiner, side: List[int],
+                     exit_after: float) -> Tuple[float, int, int]:
     """Reference FM pass: every candidate in one lazy-deletion heap;
     an entry that is illegal under the current balance is popped, set
-    aside, and re-pushed after the next applied move.  Same contract
-    as :meth:`FMRefiner._pass`."""
+    aside, and re-pushed after the next applied move.  The pass stops
+    once ``exit_after`` consecutive moves leave the best prefix
+    unchanged.  Same contract as :meth:`FMRefiner._pass`."""
     g = refiner.graph
     n = g.num_vertices
     nets = g.nets
@@ -206,6 +208,8 @@ def single_heap_pass(refiner: FMRefiner,
             best_key = (viol, -cum_gain)
             best_gain = cum_gain
             best_prefix = len(moves)
+        elif len(moves) - best_prefix >= exit_after:
+            break
         for u, d in delta.items():
             if d:
                 gains[u] += d
@@ -217,16 +221,21 @@ def single_heap_pass(refiner: FMRefiner,
 
 
 def assert_passes_match(graph: Hypergraph, side: List[int], target: float,
-                        tolerance: float, seed: int, passes: int) -> None:
+                        tolerance: float, seed: int, passes: int,
+                        exit_after: float) -> None:
     """Run ``passes`` FM passes both ways from the same RNG state and
-    demand identical results and sides after every pass."""
+    demand identical results, sides and generator states after every
+    pass.  The caller sets :data:`fm.EXIT_AFTER` to ``exit_after``."""
+    assert fm.EXIT_AFTER == exit_after
     ref = FMRefiner(graph, target, tolerance, np.random.default_rng(seed))
     new = FMRefiner(graph, target, tolerance, np.random.default_rng(seed))
     ref_side, new_side = list(side), list(side)
     for _ in range(passes):
-        expected = single_heap_pass(ref, ref_side)
+        expected = single_heap_pass(ref, ref_side, exit_after)
         assert new._pass(new_side) == expected
         assert new_side == ref_side
+        assert (new.rng.bit_generator.state
+                == ref.rng.bit_generator.state)
 
 
 @st.composite
@@ -265,13 +274,28 @@ def fm_instances(draw):
     return graph, side, target, tolerance, seed
 
 
+#: Exit limits the oracle is checked at: tight enough to fire in short
+#: random traces, and never.
+EXIT_LIMITS = [1, 3, 10, float("inf")]
+
+
+def assert_passes_match_at_every_limit(*args, **kwargs) -> None:
+    for exit_after in EXIT_LIMITS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fm, "EXIT_AFTER", exit_after)
+            assert_passes_match(*args, **kwargs, exit_after=exit_after)
+
+
 class TestPerSideHeapsMatchSingleHeap:
+    """Each side's weight-class heaps replay the single-heap oracle,
+    early exit included."""
+
     @settings(max_examples=300, deadline=None)
     @given(fm_instances())
     def test_random_hypergraphs(self, instance):
         graph, side, target, tolerance, seed = instance
-        assert_passes_match(graph, side, target, tolerance, seed,
-                            passes=3)
+        assert_passes_match_at_every_limit(graph, side, target, tolerance,
+                                           seed, passes=3)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_large_mixed_weight_graph(self, seed):
@@ -284,4 +308,67 @@ class TestPerSideHeapsMatchSingleHeap:
             n, nets, net_weights=rng.uniform(0.1, 3.0, 900).tolist(),
             vertex_weights=rng.choice([1.0, 2.0, 3.5, 9.0], n).tolist())
         side = rng.integers(0, 2, n).tolist()
-        assert_passes_match(graph, side, 0.5, 0.0, seed, passes=4)
+        assert_passes_match_at_every_limit(graph, side, 0.5, 0.0, seed,
+                                           passes=4)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_graph_with_mixed_weight_classes(self, seed):
+        # coarse-graph style: dozens of distinct weights, so every class
+        # spans a weight range and defers entries inside a reachable
+        # class; some zero-weight vertices; piled-up or random starts
+        rng = np.random.default_rng(100 + seed)
+        n = 600
+        nets = [rng.choice(n, size=int(rng.integers(2, 6)),
+                           replace=False).tolist() for _ in range(900)]
+        weights = rng.integers(0, 40, n) * 0.25
+        fixed = np.where(rng.random(n) < 0.05, rng.integers(0, 2, n), FREE)
+        graph = Hypergraph(
+            n, nets, net_weights=rng.uniform(0.1, 3.0, 900).tolist(),
+            vertex_weights=weights.tolist(), fixed=fixed.tolist())
+        start = [np.zeros(n), np.ones(n), rng.integers(0, 2, n)][seed]
+        side = np.where(fixed == FREE, start, fixed).astype(int)
+        assert_passes_match_at_every_limit(graph, side.tolist(), 0.5, 0.01,
+                                           seed, passes=4)
+
+
+class TestWeightClasses:
+    def test_classes_cover_distinct_free_weights_in_order(self):
+        weights = [0.0, 1.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 99.0]
+        fixed = [FREE] * 9 + [0]  # the fixed vertex's weight is ignored
+        refiner = FMRefiner(Hypergraph(10, [[0, 9]],
+                                       vertex_weights=weights,
+                                       fixed=fixed))
+        bounds = refiner._bounds
+        assert len(bounds) == fm.WEIGHT_CLASSES
+        assert bounds[0][0] == 0.0 and bounds[-1][1] == 21.0
+        for (lo_a, hi_a), (lo_b, _) in zip(bounds, bounds[1:]):
+            assert lo_a <= hi_a < lo_b
+        for v in range(9):
+            cmin, cmax = bounds[refiner._cls[v]]
+            assert cmin <= weights[v] <= cmax
+
+    def test_few_distinct_weights_get_one_class_each(self):
+        refiner = FMRefiner(Hypergraph(
+            4, [[0, 1], [2, 3]], vertex_weights=[2.0, 1.0, 2.0, 1.0]))
+        assert refiner._bounds == [(1.0, 1.0), (2.0, 2.0)]
+        assert refiner._cls == [1, 0, 1, 0]
+
+    def test_no_free_vertex(self):
+        refiner = FMRefiner(Hypergraph(2, [[0, 1]], fixed=[0, 1]))
+        assert refiner._bounds == []
+        assert refiner._pass([0, 1]) == (0.0, 0, 0)
+
+
+class TestEarlyExit:
+    def test_pass_stops_after_idle_moves(self, monkeypatch):
+        # a path of unit nets from a balanced, already optimal start:
+        # no move improves, so a limit of k keeps k tentative moves
+        g = Hypergraph(40, [[i, i + 1] for i in range(39)])
+        side = [0] * 20 + [1] * 20
+        for limit in (1, 5):
+            monkeypatch.setattr(fm, "EXIT_AFTER", limit)
+            refiner = FMRefiner(g, tolerance=0.2,
+                                rng=np.random.default_rng(0))
+            trial = list(side)
+            assert refiner._pass(trial) == (0.0, 0, limit)
+            assert trial == side
